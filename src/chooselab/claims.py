@@ -5,45 +5,82 @@ pendant stubs producing the stated external degrees), profiled, and its
 reduction scheme replayed symbolically at unit scale over all branch
 corners.  A claim passes when every variant's scheme is legal and deletes
 all of H, with assumptions (if any) itemized.
+
+The catalog is `data/claims.json`, read once per process.  Its steps name
+vertices as the paper does; `build_claim` maps names to host ids before
+decoding them with `reduction.step_from_json`.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 
-from . import claims_data
-from .nice import NiceProfile, is_nice, profile
+from .nice import is_nice, profile
 from .plane import PlaneGraph
-from .reduction import (AssumeSet, AssumeThreeSets, Color, ConcreteState,
-                        Delete, PairSave, Save, SchemeTrace, Step,
-                        SymbolicState, run_scheme, run_scheme_concrete)
+from .reduction import (ConcreteState, SchemeError, SchemeTrace, Step,
+                        SymbolicState, run_scheme, run_scheme_concrete,
+                        step_from_json)
 
 
 class UnknownClaim(KeyError):
     pass
 
 
+# -- the catalog ----------------------------------------------------------------
+
+
+@functools.cache
+def golden_catalog() -> dict:
+    """claims.json, keyed by claim id in catalog order.  Shared: do not mutate."""
+    with resources.files("chooselab.data").joinpath("claims.json").open() as fh:
+        return json.load(fh)
+
+
+def list_claims() -> list[dict]:
+    """Catalog index: ids with anchors, statements, variants, dependencies."""
+    return [
+        {"id": cid, "anchor": c["anchor"], "statement": c["statement"],
+         "variants": list(c["variants"]),
+         "depends_on": list(c["depends_on"]),
+         "direct": c.get("direct", False),
+         "minimality": c.get("minimality", False),
+         "notes": c.get("notes", "")}
+        for cid, c in golden_catalog().items()
+    ]
+
+
+def claim_ids() -> list[str]:
+    return list(golden_catalog())
+
+
+def _entry(claim_id: str) -> dict:
+    try:
+        return golden_catalog()[claim_id]
+    except KeyError:
+        raise UnknownClaim(claim_id) from None
+
+
 # -- building ---------------------------------------------------------------
 
+_VERTEX_KEYS = ("u", "v", "u1", "u2", "a", "b", "c")
+_VERTEX_LISTS = ("subset_of", "avoids")
 
-def _relabel_step(step: Step, mp: dict[str, int]) -> Step:
-    if isinstance(step, Delete):
-        return replace(step, u=mp[step.u])
-    if isinstance(step, Save):
-        return replace(step, u=mp[step.u], v=mp[step.v])
-    if isinstance(step, PairSave):
-        return replace(step, u1=mp[step.u1], u2=mp[step.u2], v=mp[step.v])
-    if isinstance(step, Color):
-        return replace(step, phi=tuple(sorted((mp[v], names)
-                                              for v, names in step.phi)))
-    if isinstance(step, AssumeSet):
-        return replace(step, subset_of=tuple(mp[v] for v in step.subset_of),
-                       avoids=tuple(mp[v] for v in step.avoids))
-    if isinstance(step, AssumeThreeSets):
-        return replace(step, a=mp[step.a], b=mp[step.b], c=mp[step.c])
-    raise TypeError(step)
+
+def _with_ids(d: dict, ids: dict[str, int]) -> dict:
+    """A stored step with its vertex names replaced by host ids."""
+    d = dict(d)
+    for key in _VERTEX_KEYS:
+        if key in d:
+            d[key] = ids[d[key]]
+    for key in _VERTEX_LISTS:
+        if key in d:
+            d[key] = [ids[x] for x in d[key]]
+    if "phi" in d:
+        d["phi"] = {str(ids[x]): names for x, names in d["phi"].items()}
+    return d
 
 
 @dataclass
@@ -53,11 +90,10 @@ class BuiltVariant:
     graph: PlaneGraph
     h: frozenset[int]
     labels: dict[str, int]
-    golden_profile: dict[str, tuple[int, int]] | None
+    golden_profile: dict[str, list[int]] | None
     state_override: dict | None
     scheme: list[Step]
     literal: list[Step] | None
-    expect_legal: bool
     nice_expected: bool
 
     def label_of(self, vid: int) -> str:
@@ -67,69 +103,39 @@ class BuiltVariant:
         return str(vid)
 
 
-def list_claims() -> list[dict]:
-    """Catalog index: ids with anchors, statements, variants, dependencies."""
-    return [
-        {"id": c["id"], "anchor": c["anchor"], "statement": c["statement"],
-         "variants": [v["name"] for v in c["variants"]],
-         "depends_on": list(c["depends_on"]), "direct": c["direct"],
-         "minimality": c["minimality"], "notes": c["notes"]}
-        for c in claims_data.CLAIMS.values()
-    ]
-
-
-def claim_ids() -> list[str]:
-    return list(claims_data.CLAIMS)
-
-
-def _get_variant(claim_id: str, variant: str | int) -> dict:
-    try:
-        entry = claims_data.CLAIMS[claim_id]
-    except KeyError:
-        raise UnknownClaim(claim_id) from None
-    if isinstance(variant, int):
-        return entry["variants"][variant]
-    for v in entry["variants"]:
-        if v["name"] == variant:
-            return v
-    raise UnknownClaim(f"{claim_id}/{variant}")
-
-
 def build_claim(claim_id: str, variant: str | int = 0) -> BuiltVariant:
     """Host fixture + profile + executable scheme for one claim variant.
 
     External degrees are realized with pendant stubs; stubs never enter H.
     """
-    entry = claims_data.CLAIMS[claim_id] if claim_id in claims_data.CLAIMS \
-        else None
-    if entry is None:
-        raise UnknownClaim(claim_id)
-    var = _get_variant(claim_id, variant)
+    variants = _entry(claim_id)["variants"]
+    name = list(variants)[variant] if isinstance(variant, int) else variant
+    if name not in variants:
+        raise UnknownClaim(f"{claim_id}/{variant}")
+    var = variants[name]
     labels = {lab: i for i, lab in enumerate(var["degrees"])}
     edges = [(labels[a], labels[b]) for a, b in var["h_edges"]]
     next_id = len(labels)
     for lab, deg in var["degrees"].items():
         dh = sum(1 for a, b in var["h_edges"] if lab in (a, b))
         if dh > deg:
-            raise ValueError(f"{claim_id}/{var['name']}: d_H({lab}) > d_G")
+            raise ValueError(f"{claim_id}/{name}: d_H({lab}) > d_G")
         for _ in range(deg - dh):
             edges.append((labels[lab], next_id))
             next_id += 1
     G = PlaneGraph(edges=edges) if edges else PlaneGraph(
         edges=[], vertices=list(labels.values()))
-    mp = dict(labels)
     return BuiltVariant(
         claim_id=claim_id,
-        name=var["name"],
+        name=name,
         graph=G,
         h=frozenset(labels.values()),
         labels=labels,
         golden_profile=var.get("profile"),
         state_override=var.get("state"),
-        scheme=[_relabel_step(s, mp) for s in var["scheme"]],
-        literal=[_relabel_step(s, mp) for s in var["literal"]]
-        if var.get("literal") else None,
-        expect_legal=var.get("expect_legal", True),
+        scheme=[step_from_json(_with_ids(d, labels)) for d in var["scheme"]],
+        literal=[step_from_json(_with_ids(d, labels)) for d in var["literal"]]
+        if "literal" in var else None,
         nice_expected=var.get("nice", True),
     )
 
@@ -161,7 +167,6 @@ class VariantReport:
     profile_diffs: list[str]
     trace: SchemeTrace
     literal_trace: SchemeTrace | None
-    expect_legal: bool
 
     @property
     def assumptions(self) -> list[str]:
@@ -249,18 +254,15 @@ def verify_variant(bv: BuiltVariant, m: int = 1) -> VariantReport:
         nice_as_expected=(nice == bv.nice_expected),
         profile_ok=profile_ok, profile_diffs=diffs,
         trace=trace, literal_trace=literal_trace,
-        expect_legal=bv.expect_legal,
     )
 
 
 def verify_claim(claim_id: str, m: int = 1) -> ClaimReport:
-    if claim_id not in claims_data.CLAIMS:
-        raise UnknownClaim(claim_id)
-    entry = claims_data.CLAIMS[claim_id]
-    reports = [verify_variant(build_claim(claim_id, v["name"]), m)
-               for v in entry["variants"]]
+    entry = _entry(claim_id)
+    reports = [verify_variant(build_claim(claim_id, name), m)
+               for name in entry["variants"]]
     return ClaimReport(claim_id=claim_id, anchor=entry["anchor"],
-                       variants=reports, notes=entry["notes"])
+                       variants=reports, notes=entry.get("notes", ""))
 
 
 @dataclass
@@ -305,46 +307,12 @@ class CatalogSummary:
 def verify_all(m: int = 1, exclude: tuple[str, ...] = ()) -> CatalogSummary:
     reports = []
     skipped = []
-    for cid in claims_data.CLAIMS:
+    for cid in golden_catalog():
         if cid in exclude:
             skipped.append(cid)
             continue
         reports.append(verify_claim(cid, m))
     return CatalogSummary(reports=reports, skipped=skipped)
-
-
-# -- golden data ---------------------------------------------------------------
-
-
-def golden_catalog() -> dict:
-    """The shipped claims.json content, keyed by claim id."""
-    with resources.files("chooselab.data").joinpath("claims.json").open() as fh:
-        return json.load(fh)
-
-
-def catalog_as_golden() -> dict:
-    """Serialize the in-code catalog in the claims.json shape."""
-    from .reduction import step_to_json
-    out = {}
-    for cid, entry in claims_data.CLAIMS.items():
-        variants = {}
-        for var in entry["variants"]:
-            d = {"degrees": var["degrees"],
-                 "h_edges": [list(e) for e in var["h_edges"]],
-                 "scheme": [step_to_json(s) for s in var["scheme"]]}
-            if var.get("profile"):
-                d["profile"] = {lab: list(fg)
-                                for lab, fg in var["profile"].items()}
-            if var.get("state"):
-                d["state"] = var["state"]
-            if var.get("literal"):
-                d["literal"] = [step_to_json(s) for s in var["literal"]]
-            variants[var["name"]] = d
-        out[cid] = {"anchor": entry["anchor"],
-                    "statement": entry["statement"],
-                    "depends_on": list(entry["depends_on"]),
-                    "variants": variants}
-    return out
 
 
 # -- concrete spot checks -------------------------------------------------------
@@ -392,7 +360,7 @@ def concrete_cross_check(bv: BuiltVariant, samples: int = 20,
         st.live = set(lists)
         try:
             result = run_scheme_concrete(st, bv.scheme)
-        except Exception:
+        except SchemeError:     # the node cap stopped the search
             result = None
         if result is None:
             failures.append(i)

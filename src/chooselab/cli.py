@@ -19,8 +19,8 @@ from . import claims as claims_mod
 from . import discharging, key_lemma
 from .multicolor import ChoosableOpts, TooLarge, choosable, colorable_ab
 from .plane import GraphError, NotEmbedded, build_plane_graph
-from .reduction import (ConcreteState, SymbolicState, run_scheme,
-                        run_scheme_concrete, step_from_json)
+from .reduction import (ConcreteState, SchemeError, SymbolicState,
+                        run_scheme, run_scheme_concrete, step_from_json)
 
 SCHEMA_VERSION = 1
 
@@ -56,12 +56,10 @@ def cmd_verify_claims(args) -> int:
         print(f"unknown claim: {exc}", file=sys.stderr)
         return 2
     failed = not summary.passed
-    if args.literal and args.claim:
-        for rep in summary.reports:
-            for v in rep.variants:
-                if v.literal_trace is not None and not v.literal_trace.legal:
-                    if args.strict:
-                        failed = True
+    if args.literal and args.strict:
+        failed = failed or any(
+            v.literal_trace is not None and not v.literal_trace.legal
+            for rep in summary.reports for v in rep.variants)
     _emit(summary.as_dict(), args.report, summary.text())
     return 1 if failed else 0
 
@@ -94,6 +92,9 @@ def cmd_check_choosability(args) -> int:
                             ChoosableOpts(max_vectors=args.max_vectors))
     except TooLarge as exc:
         print(f"TooLarge: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
         return 2
     data = {"choosable": verdict.ok, "checked": verdict.checked}
     text = f"({args.f},{args.g})-choosable: {'yes' if verdict.ok else 'no'}"
@@ -144,7 +145,11 @@ def cmd_audit(args) -> int:
         data["surviving"] = surviving
         data["excluded"] = excluded
     elif which == "key-lemma":
-        reports = key_lemma.verify_all_cases()
+        try:
+            reports = key_lemma.verify_all_cases()
+        except (TooLarge, ValueError) as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            return 2
         data["cases"] = [r.as_dict() for r in reports]
         for r in reports:
             for ce in r.counterexamples:
@@ -165,21 +170,32 @@ def cmd_schemes_run(args) -> int:
             cfg = json.load(fh)
         G = build_plane_graph(cfg["graph"])
         steps = [step_from_json(d) for d in cfg["steps"]]
-    except (OSError, KeyError, json.JSONDecodeError, GraphError) as exc:
+        mode = cfg.get("mode", "symbolic")
+        if mode == "symbolic":
+            prof = {int(v): tuple(fg) for v, fg in cfg["profile"].items()}
+        else:
+            lists = {int(v): frozenset(c) for v, c in cfg["lists"].items()}
+            demand = {int(v): d for v, d in cfg["demand"].items()}
+    except KeyError as exc:
+        print(f"bad scheme config: missing key {exc}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, TypeError, AttributeError, GraphError) as exc:
         print(f"bad scheme config: {exc}", file=sys.stderr)
         return 2
-    mode = cfg.get("mode", "symbolic")
+    try:
+        if mode == "symbolic":
+            state = SymbolicState.from_profile(G, prof, m=args.scale)
+            trace = run_scheme(state, steps, m=args.scale)
+        else:
+            state = ConcreteState.from_assignment(G, lists, demand)
+            final = run_scheme_concrete(state, steps)
+    except SchemeError as exc:
+        print(f"bad scheme: {exc}", file=sys.stderr)
+        return 2
     if mode == "symbolic":
-        prof = {int(v): tuple(fg) for v, fg in cfg["profile"].items()}
-        state = SymbolicState.from_profile(G, prof, m=args.scale)
-        trace = run_scheme(state, steps, m=args.scale)
         _emit(trace.as_dict(), args.report,
               json.dumps(trace.as_dict(), indent=2))
         return 0 if trace.legal and trace.exhaustive else 1
-    lists = {int(v): frozenset(c) for v, c in cfg["lists"].items()}
-    demand = {int(v): d for v, d in cfg["demand"].items()}
-    state = ConcreteState.from_assignment(G, lists, demand)
-    final = run_scheme_concrete(state, steps)
     ok = final is not None
     _emit({"completed": ok}, args.report,
           "scheme completed" if ok else "no concrete choices complete the scheme")
@@ -197,9 +213,11 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-claims", help="run the configuration catalog")
     sp.add_argument("--claim")
     sp.add_argument("--literal", action="store_true",
-                    help="also surface literal-scheme failures")
+                    help="with --strict, a failing printed (literal) scheme "
+                         "exits 1; such failures are reported either way")
     sp.add_argument("--strict", action="store_true",
-                    help="literal failures affect the exit code")
+                    help="with --literal, literal-scheme failures affect "
+                         "the exit code")
     sp.add_argument("--scale", type=int, default=1, metavar="M")
     add_common(sp)
     sp.set_defaults(func=cmd_verify_claims)

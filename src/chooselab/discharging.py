@@ -189,7 +189,7 @@ def face_type_of_classes(corners: tuple[Klass, Klass, Klass, Klass]) -> int | No
     return None
 
 
-def face_corners(G: PlaneGraph, f: Face, start: int | None = None) -> tuple[int, ...]:
+def face_corners(f: Face, start: int | None = None) -> tuple[int, ...]:
     verts = f.vertices
     if start is None:
         return verts
@@ -210,7 +210,7 @@ def lambda_pattern(G: PlaneGraph, u: int, f: Face) -> LambdaPattern:
         raise NotQuadFace(f"face has degree {f.degree}")
     if u not in f.vertices:
         raise NotIncident(f"{u} not on face")
-    order = face_corners(G, f, u)
+    order = face_corners(f, u)
     return tuple(klass_of(G, v) for v in order)  # type: ignore[return-value]
 
 
@@ -229,10 +229,6 @@ class TransferRecord:
                 "to": (f"v{self.receiver}" if self.receiver_kind == "v"
                        else f"f{self.receiver}"),
                 "amount": twelfths_str(self.amount), "rule": self.rule}
-
-
-class RuleAmbiguity(RuntimeError):
-    pass
 
 
 def initial_charges(G: PlaneGraph) -> dict[tuple[str, int], int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from decimal import Decimal, InvalidOperation
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -121,7 +122,19 @@ def find_coloring(G: PlaneGraph, lists: dict[int, frozenset[int]],
 
 
 def _max_cells() -> int:
-    return int(os.environ.get(ENV_MAX_CELLS, DEFAULT_MAX_CELLS))
+    """The cap from the environment: an integer, plain or in exponent form
+    such as 1e8.  Any other value raises ValueError."""
+    raw = os.environ.get(ENV_MAX_CELLS)
+    if raw is None:
+        return DEFAULT_MAX_CELLS
+    try:
+        value = Decimal(raw)
+        if value == value.to_integral_value():
+            return int(value)
+    except (InvalidOperation, OverflowError):   # not a number; infinity
+        pass
+    raise ValueError(f"{ENV_MAX_CELLS} must be an integer such as 1e8, "
+                     f"not {raw!r}")
 
 
 def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
@@ -211,7 +224,6 @@ class ChoosableVerdict:
 class ChoosableOpts:
     max_vectors: int | None = None
     universe_bound: int | None = None
-    deterministic: bool = True
 
 
 def choosable(G: PlaneGraph, f: dict[int, int] | int, g: dict[int, int] | int,
@@ -219,7 +231,7 @@ def choosable(G: PlaneGraph, f: dict[int, int] | int, g: dict[int, int] | int,
     """Decide (f, g)-choosability by exhausting canonical list assignments.
 
     "no" comes with the first failing assignment in the canonical order
-    (the lexicographically least witness in deterministic mode).
+    (the lexicographically least witness).
     """
     opts = opts or ChoosableOpts()
     fmap = _as_map(G, f)

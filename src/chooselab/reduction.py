@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .plane import PlaneGraph
 
@@ -314,6 +315,12 @@ def _apply_color(st: SymbolicState, phi: dict[int, list[str]],
     return True
 
 
+def _check_declared(step: Color, names, declared) -> None:
+    for n in names:
+        if n not in declared:
+            raise SchemeError(f"{step}: set {n} is not declared")
+
+
 def _exec_step(st: SymbolicState, step: Step, split: tuple[int, int, int] | None,
                m: int, rec: list[StepRecord], flags: list[str]) -> bool:
     """Execute one step in place.  `split` resolves a branch point (s, t, r),
@@ -479,9 +486,10 @@ def _exec_step(st: SymbolicState, step: Step, split: tuple[int, int, int] | None
         return True
 
     if isinstance(step, Color):
+        for _, names in step.phi:
+            _check_declared(step, names, st.setvars)
         phi = {v: [n for n in names if st.setvars[n].size > 0]
                for v, names in step.phi}
-        phi = {v: names for v, names in phi.items()}
         return _apply_color(st, phi, rec, str(step), step.assume)
 
     raise SchemeError(f"unknown step {step!r}")
@@ -502,56 +510,39 @@ def _run_combo(state: SymbolicState, steps: list[Step],
     return trace
 
 
+# split spaces: the (split, label) pairs that resolve one branch point of size k
+
+def _corners(k: int) -> list[tuple[tuple[int, int, int], str]]:
+    return list(zip([(k, 0, 0), (0, k, 0), (0, 0, k)], CORNER_NAMES))
+
+
+def _all_splits(k: int) -> list[tuple[tuple[int, int, int], str]]:
+    splits = [(s, t, k - s - t) for s in range(k + 1) for t in range(k + 1 - s)]
+    return [(sp, str(sp)) for sp in splits]
+
+
+def _run_space(state: SymbolicState, steps: list[Step], m: int,
+               space: Callable[[int], list]) -> SchemeTrace:
+    """One branch per choice of a (split, label) pair at each branch point."""
+    flags: list[str] = []
+    spaces = [space(s.k * m) for s in steps if is_branch_point(s)]
+    branches = []
+    for combo in itertools.product(*spaces):
+        splits = tuple(sp for sp, _ in combo)
+        label = tuple(lab for _, lab in combo)
+        branches.append(_run_combo(state, steps, splits, label, m, flags))
+    return SchemeTrace(branches=branches, flags=sorted(set(flags)))
+
+
 def run_scheme(state: SymbolicState, steps: list[Step], m: int = 1) -> SchemeTrace:
     """Execute a scheme symbolically over every branch-corner combination."""
-    flags: list[str] = []
-    ks = [s.k * m for s in steps if is_branch_point(s)]
-    corner_space = [[(k, 0, 0), (0, k, 0), (0, 0, k)] for k in ks]
-    names_space = [CORNER_NAMES for _ in ks]
-    branches = []
-    for splits, names in zip(itertools.product(*corner_space),
-                             itertools.product(*names_space)) if ks else [((), ())]:
-        branches.append(_run_combo(state, steps, splits, names, m, flags))
-    return SchemeTrace(branches=branches, flags=sorted(set(flags)))
+    return _run_space(state, steps, m, _corners)
 
 
 def run_scheme_all_splits(state: SymbolicState, steps: list[Step],
                           m: int = 1) -> SchemeTrace:
     """Like run_scheme but over every integer split (s, t, r), s+t+r = k."""
-    flags: list[str] = []
-    ks = [s.k * m for s in steps if is_branch_point(s)]
-    spaces = [[(s, t, k - s - t) for s in range(k + 1) for t in range(k + 1 - s)]
-              for k in ks]
-    branches = []
-    for splits in (itertools.product(*spaces) if ks else [()]):
-        label = tuple(str(sp) for sp in splits)
-        branches.append(_run_combo(state, steps, splits, label, m, flags))
-    return SchemeTrace(branches=branches, flags=sorted(set(flags)))
-
-
-# -- single-operation conveniences (symbolic) -------------------------------
-
-def deg_del(state: SymbolicState, u: int, m: int = 1) -> SchemeTrace:
-    return run_scheme(state, [Delete(u)], m)
-
-
-def par_col(state: SymbolicState, phi: dict[int, list[str]],
-            m: int = 1) -> SchemeTrace:
-    return run_scheme(state, [Color.of(phi)], m)
-
-
-def save_single(state: SymbolicState, u: int, v: int, k: int = 1,
-                m: int = 1) -> SchemeTrace:
-    return run_scheme(state, [Save(u, v, k)], m)
-
-
-def save_pair(state: SymbolicState, u1: int, u2: int, v: int, k: int = 1,
-              m: int = 1) -> SchemeTrace:
-    return run_scheme(state, [PairSave(u1, u2, v, k)], m)
-
-
-def assume_set(state: SymbolicState, decl: AssumeSet, m: int = 1) -> SchemeTrace:
-    return run_scheme(state, [decl], m)
+    return _run_space(state, steps, m, _all_splits)
 
 
 # -- the three-sets lemma, concretely ---------------------------------------
@@ -735,6 +726,7 @@ def run_scheme_concrete(state: ConcreteState, steps: list[Step],
         if isinstance(step, Color):
             phi = {}
             for v, names in step.phi:
+                _check_declared(step, names, st.sets)
                 cols = frozenset()
                 for nm in names:
                     cols |= st.sets[nm]

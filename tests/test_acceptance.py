@@ -13,8 +13,8 @@ import time
 
 from chooselab import claims as claims_mod
 from chooselab import discharging, key_lemma
-from chooselab.claims import (build_claim, claims_data, golden_catalog,
-                              verify_all, verify_claim)
+from chooselab.claims import (build_claim, golden_catalog, verify_all,
+                              verify_claim)
 from chooselab.multicolor import choosable, colorable_ab
 from chooselab.nice import profile
 from chooselab.plane import (complete_bipartite, cube_graph, cycle_graph,

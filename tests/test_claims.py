@@ -1,19 +1,21 @@
-import json
-
 import pytest
 
-from chooselab.claims import (UnknownClaim, build_claim, catalog_as_golden,
+from chooselab.claims import (UnknownClaim, _with_ids, build_claim,
                               claim_ids, concrete_cross_check, golden_catalog,
                               initial_state, list_claims, verify_all,
                               verify_claim)
-from chooselab.claims import claims_data
 from chooselab.nice import NotNice, profile
 from chooselab.plane import PlaneGraph
 from chooselab.reduction import (ConcreteState, SymbolicState, run_scheme,
-                                 run_scheme_all_splits, run_scheme_concrete)
+                                 run_scheme_all_splits, run_scheme_concrete,
+                                 step_from_json, step_to_json)
 
 MINIMALITY_CLAIMS = ("cycle-444-41-52", "cycle-51-434", "cycle-5-34-51")
 KNOWN_DISCREPANCY = "cycle-63-434"
+
+
+def _variants(cid):
+    return golden_catalog()[cid]["variants"]
 
 
 def test_catalog_index():
@@ -57,9 +59,9 @@ def test_build_5_on_5334_fixture():
 
 def test_all_fixtures_triangle_free():
     for cid in claim_ids():
-        for var in claims_data.CLAIMS[cid]["variants"]:
-            bv = build_claim(cid, var["name"])
-            assert bv.graph.is_triangle_free(), (cid, var["name"])
+        for name in _variants(cid):
+            bv = build_claim(cid, name)
+            assert bv.graph.is_triangle_free(), (cid, name)
 
 
 def test_golden_profiles_match_computed():
@@ -78,8 +80,53 @@ def test_golden_profiles_match_computed():
     assert values >= 60
 
 
-def test_golden_file_in_sync_with_catalog():
-    assert golden_catalog() == json.loads(json.dumps(catalog_as_golden()))
+def test_catalog_steps_roundtrip():
+    """Every stored step, with host ids for vertex names, is exactly what
+    the step codec writes back: no missing, extra or misspelled field."""
+    steps = 0
+    for cid, entry in golden_catalog().items():
+        for vname, var in entry["variants"].items():
+            ids = {lab: i for i, lab in enumerate(var["degrees"])}
+            for d in var["scheme"] + var.get("literal", []):
+                d = _with_ids(d, ids)
+                assert step_to_json(step_from_json(d)) == d, (cid, vname, d)
+                steps += 1
+    assert steps == 395
+
+
+STEP_OPS = {"delete", "save", "pair_save", "color", "assume",
+            "assume_three_sets"}
+
+
+def _step_vertices(d):
+    named = [d[k] for k in ("u", "v", "u1", "u2", "a", "b", "c") if k in d]
+    return (named + d.get("subset_of", []) + d.get("avoids", [])
+            + list(d.get("phi", {})))
+
+
+def test_catalog_well_formed():
+    """Every op is a known kind, every vertex name is a host vertex and
+    every dependency is a claim, so a typo fails here by name."""
+    catalog = golden_catalog()
+    for cid, entry in catalog.items():
+        for dep in entry["depends_on"]:
+            assert dep in catalog, (cid, "depends_on", dep)
+        for vname, var in entry["variants"].items():
+            where = f"{cid}/{vname}"
+            hosts = set(var["degrees"])
+            for edge in var["h_edges"]:
+                assert set(edge) <= hosts, (where, "h_edges", edge)
+            for lab in var.get("profile", {}):
+                assert lab in hosts, (where, "profile", lab)
+            state = var.get("state", {})
+            demand = state.get("demand")
+            for lab in [*state.get("lists", {}),
+                        *(demand if isinstance(demand, dict) else ())]:
+                assert lab in hosts, (where, "state", lab)
+            for d in var["scheme"] + var.get("literal", []):
+                assert d["op"] in STEP_OPS, (where, d)
+                for lab in _step_vertices(d):
+                    assert lab in hosts, (where, d["op"], lab)
 
 
 def test_verify_all_claims_except_known_discrepancy():
@@ -136,12 +183,12 @@ def test_verify_all_with_exclusion():
 def test_corner_sufficiency_on_catalog_schemes():
     """Corner-only evaluation agrees with all-splits evaluation."""
     for cid in claim_ids():
-        for var in claims_data.CLAIMS[cid]["variants"]:
-            bv = build_claim(cid, var["name"])
+        for name in _variants(cid):
+            bv = build_claim(cid, name)
             state = initial_state(bv)
             corners = run_scheme(state, bv.scheme)
             full = run_scheme_all_splits(state, bv.scheme)
-            assert corners.legal == full.legal, (cid, var["name"])
+            assert corners.legal == full.legal, (cid, name)
             assert corners.exhaustive == full.exhaustive
 
 
@@ -179,10 +226,10 @@ EXPECTED_SLACK = {
 
 
 def _decrement_survives(cid: str, lab: str) -> bool:
-    for var in claims_data.CLAIMS[cid]["variants"]:
+    for name, var in _variants(cid).items():
         if not var.get("profile") or lab not in var["profile"]:
             continue
-        bv = build_claim(cid, var["name"])
+        bv = build_claim(cid, name)
         p = profile(bv.graph, set(bv.h)).pairs()
         vid = bv.labels[lab]
         p[vid] = (p[vid][0] - 1, p[vid][1])
@@ -196,7 +243,7 @@ def test_mutation_tightness_map():
     """Lowering any single profile value by one unit breaks a variant,
     except at the recorded slack vertices (the schemes are near-tight)."""
     for cid in claim_ids():
-        labels = sorted({lab for var in claims_data.CLAIMS[cid]["variants"]
+        labels = sorted({lab for var in _variants(cid).values()
                          for lab in (var.get("profile") or {})})
         if not labels:
             continue
@@ -248,10 +295,9 @@ def test_concrete_cross_check_samples():
     non-minimality claims."""
     for cid in ("star", "cycle-4443", "path-3443443", "5-on-5434-no-42",
                 "6-two-6334", "cycle-k33-4"):
-        for var in claims_data.CLAIMS[cid]["variants"]:
-            bv = build_claim(cid, var["name"])
-            assert concrete_cross_check(bv, samples=8) == [], (cid,
-                                                               var["name"])
+        for name in _variants(cid):
+            bv = build_claim(cid, name)
+            assert concrete_cross_check(bv, samples=8) == [], (cid, name)
 
 
 # -- the documented discrepancy -----------------------------------------------

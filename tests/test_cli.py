@@ -144,3 +144,67 @@ def test_schemes_run_concrete(tmp_path, capsys):
     p = tmp_path / "scheme.json"
     p.write_text(json.dumps(cfg))
     assert main(["schemes", "run", "--config", str(p)]) == 0
+
+
+def test_verify_claims_literal_strict(capsys):
+    assert main(["verify-claims", "--claim", "star", "--literal",
+                 "--strict"]) == 1
+    assert main(["verify-claims", "--claim", "star", "--literal"]) == 0
+
+
+# -- input errors: exit 2, one line on stderr, no traceback --------------------
+
+def _assert_input_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1, err
+
+
+SYMBOLIC_CFG = {
+    "graph": {"edges": [[0, 1]]},
+    "profile": {"0": [7, 4], "1": [7, 4]},
+    "steps": [{"op": "delete", "u": 0}, {"op": "delete", "u": 1}],
+}
+CONCRETE_CFG = {
+    "graph": {"edges": [[0, 1]]},
+    "mode": "concrete",
+    "lists": {"0": [1, 2, 3], "1": [1, 2]},
+    "demand": {"0": 1, "1": 1},
+    "steps": [{"op": "delete", "u": 0}, {"op": "delete", "u": 1}],
+}
+
+
+def _run_config(tmp_path, cfg):
+    p = tmp_path / "scheme.json"
+    p.write_text(json.dumps(cfg))
+    return main(["schemes", "run", "--config", str(p)])
+
+
+@pytest.mark.parametrize("cfg, key", [(CONCRETE_CFG, "lists"),
+                                      (CONCRETE_CFG, "demand"),
+                                      (SYMBOLIC_CFG, "profile")])
+def test_schemes_run_missing_key(tmp_path, capsys, cfg, key):
+    assert _run_config(tmp_path, cfg) in (0, 1)
+    capsys.readouterr()
+    cfg = {k: v for k, v in cfg.items() if k != key}
+    _assert_input_error(_run_config(tmp_path, cfg), capsys)
+
+
+@pytest.mark.parametrize("cfg", [SYMBOLIC_CFG, CONCRETE_CFG])
+def test_schemes_run_undeclared_set(tmp_path, capsys, cfg):
+    cfg = dict(cfg, steps=[{"op": "color", "phi": {"0": ["X"]}}]
+               + cfg["steps"])
+    _assert_input_error(_run_config(tmp_path, cfg), capsys)
+
+
+def test_max_cells_env(monkeypatch, capsys, c4_file):
+    args = ["check-choosability", "--graph", c4_file, "--f", "2", "--g", "1"]
+    for spelling in ("1e8", "100000000"):
+        monkeypatch.setenv("CHOOSELAB_MAX_CELLS", spelling)
+        assert main(args) == 0, spelling
+    capsys.readouterr()
+    for bad in ("1.5e0", "lots", "", "nan"):
+        monkeypatch.setenv("CHOOSELAB_MAX_CELLS", bad)
+        _assert_input_error(main(args), capsys)
+        _assert_input_error(main(["audit", "key-lemma"]), capsys)

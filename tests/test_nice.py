@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chooselab.claims import build_claim, claim_ids
+from chooselab.claims import build_claim, list_claims
 from chooselab.nice import NotNice, frontier_split, is_nice, profile
 from chooselab.plane import PlaneGraph
 
@@ -66,12 +66,11 @@ def test_is_nice_deficiency_and_bad_component():
 
 
 def test_every_catalog_fixture_matches_its_niceness_expectation():
-    for cid in claim_ids():
-        from chooselab.claims import claims_data
-        for var in claims_data.CLAIMS[cid]["variants"]:
-            bv = build_claim(cid, var["name"])
+    for c in list_claims():
+        for name in c["variants"]:
+            bv = build_claim(c["id"], name)
             ok, reason = is_nice(bv.graph, set(bv.h))
-            assert ok == bv.nice_expected, (cid, var["name"], reason)
+            assert ok == bv.nice_expected, (c["id"], name, reason)
 
 
 def test_profile_star_k3():
@@ -96,10 +95,9 @@ def test_profile_k13_component():
 
 def test_demand_conservation_identity():
     # core vertices: f + 4 (d_G - d_H) + sum over frontier nbrs (4 - g) = 15
-    for cid in claim_ids():
-        from chooselab.claims import claims_data
-        for var in claims_data.CLAIMS[cid]["variants"]:
-            bv = build_claim(cid, var["name"])
+    for c in list_claims():
+        for name in c["variants"]:
+            bv = build_claim(c["id"], name)
             try:
                 p = profile(bv.graph, set(bv.h))
             except NotNice:
@@ -109,7 +107,7 @@ def test_demand_conservation_identity():
                                                       & bv.h)
                 lost = sum(4 - p.g[v]
                            for v in bv.graph.neighbors(u) & p.frontier)
-                assert p.f[u] + 4 * deficiency + lost == 15, (cid, var["name"])
+                assert p.f[u] + 4 * deficiency + lost == 15, (c["id"], name)
 
 
 def test_trivially_unchoosable_flagged_not_fatal():
@@ -126,10 +124,8 @@ def test_trivially_unchoosable_flagged_not_fatal():
 @given(st.integers(0, 10 ** 6))
 def test_classification_invariant_under_relabeling(seed):
     rng = random.Random(seed)
-    cid = rng.choice(claim_ids())
-    from chooselab.claims import claims_data
-    var = rng.choice(claims_data.CLAIMS[cid]["variants"])
-    bv = build_claim(cid, var["name"])
+    c = rng.choice(list_claims())
+    bv = build_claim(c["id"], rng.choice(c["variants"]))
     try:
         p = profile(bv.graph, set(bv.h))
     except NotNice:

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from chooselab.multicolor import enumerate_assignments_canonical
 from chooselab.plane import PlaneGraph, path_graph
-from chooselab.reduction import (AssumeSet, BoundViolated, Color,
-                                 ConcreteState, Delete, PairSave, Save,
+from chooselab.reduction import (AssumeSet, AssumeThreeSets, BoundViolated,
+                                 Color, ConcreteState, Delete, PairSave, Save,
                                  SymbolicState, run_scheme,
                                  run_scheme_all_splits, run_scheme_concrete,
                                  step_from_json, step_to_json,
@@ -290,6 +290,8 @@ def test_step_json_roundtrip():
     steps = [Delete(3), Save(0, 1, 2), PairSave(0, 1, 2, 1, assume="x"),
              Color.of({0: ("A", "B")}),
              AssumeSet("A", 1, (0,), avoids=(1,), tag="t"),
+             AssumeThreeSets("S", "T", "R", 0, 1, 2, 2, minus=("A",),
+                             z_cap=9, s_avoids_c=False, tag="t"),
              ]
     for s in steps:
         assert step_from_json(step_to_json(s)) == s
