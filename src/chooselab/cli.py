@@ -45,7 +45,17 @@ def _emit(data: dict, fmt: str, text: str | None = None) -> None:
         print(text if text is not None else json.dumps(data, indent=2))
 
 
+def _bad_scale(args) -> bool:
+    """Every bound is a multiple of m, so m < 1 would pass claims vacuously."""
+    if args.scale >= 1:
+        return False
+    print(f"--scale must be at least 1, not {args.scale}", file=sys.stderr)
+    return True
+
+
 def cmd_verify_claims(args) -> int:
+    if _bad_scale(args):
+        return 2
     try:
         if args.claim:
             reports = [claims_mod.verify_claim(args.claim, m=args.scale)]
@@ -165,6 +175,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_schemes_run(args) -> int:
+    if _bad_scale(args):
+        return 2
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
@@ -189,7 +201,7 @@ def cmd_schemes_run(args) -> int:
         else:
             state = ConcreteState.from_assignment(G, lists, demand)
             final = run_scheme_concrete(state, steps)
-    except SchemeError as exc:
+    except (SchemeError, GraphError) as exc:
         print(f"bad scheme: {exc}", file=sys.stderr)
         return 2
     if mode == "symbolic":

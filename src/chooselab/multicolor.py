@@ -150,6 +150,12 @@ def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
     by increasing total weight W = sum n_S (W is the universe size), then
     lexicographically; every f-list assignment is renaming-equivalent to
     exactly one emitted representative.
+
+    The walk enters a subtree only if an exact test says its cells can
+    still meet the remaining demands with exactly the remaining weight, so
+    every subtree entered emits at least one vector.  The test only prunes:
+    the vectors and their order are those of the plain lexicographic walk.
+    Its memo lives for one call and is shared by all W.
     """
     verts = sorted(G.vertices)
     cap = max_vectors if max_vectors is not None else _max_cells()
@@ -164,35 +170,98 @@ def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
     w_hi = min(total_f, universe_bound) if universe_bound is not None else total_f
 
     emitted = 0
-    for W in range(w_lo, w_hi + 1):
-        for vec in _cell_vectors(subsets, {v: f[v] for v in verts}, W):
-            emitted += 1
-            if emitted > cap:
-                raise TooLarge(f"canonical enumeration exceeded {cap} vectors")
-            yield _realize(vec, subsets, verts)
+    for vec in _cell_vectors(subsets, verts, [f[v] for v in verts],
+                             range(w_lo, w_hi + 1)):
+        emitted += 1
+        if emitted > cap:
+            raise TooLarge(f"canonical enumeration exceeded {cap} vectors")
+        yield _realize(vec, subsets, verts)
 
 
-def _cell_vectors(subsets, remaining: dict[int, int], W: int):
-    """All assignments n_S >= 0 with per-vertex sums `remaining` and total W."""
-    if W < 0:
+def _cell_vectors(subsets, verts, demand: list[int], weights: range):
+    """All vectors n_S >= 0 whose cells containing verts[j] sum to
+    demand[j], for each total W in `weights`: by W, then lexicographically.
+
+    `first(i, code, w)` is exact: the least count for cell i after which
+    cells i+1.. can still meet the remaining demands `rem` (packed into
+    `code`) with total weight exactly w, or -1 if there is none.  It tries
+    the cheap bounds max(rem) <= w <= sum(rem) first, memoizes the rest
+    under one int key and stops at the first live count.
+    """
+    if min(demand, default=0) < 0:     # no cell sizes sum to a negative
         return
-    if not subsets:
-        if W == 0 and all(r == 0 for r in remaining.values()):
-            yield ()
-        return
-    S = subsets[0]
-    hi = min([remaining[v] for v in S] + [W])
-    for n in range(hi + 1):
-        rem2 = dict(remaining)
-        for v in S:
-            rem2[v] -= n
-        # remaining demand must still be coverable by the leftover weight
-        if W - n < max(rem2.values(), default=0):
+    index = {v: j for j, v in enumerate(verts)}
+    members = [tuple(index[v] for v in S) for S in subsets]
+    N = len(members)
+    radix = [1]                        # rem packed in mixed radix demand + 1
+    for d in demand:
+        radix.append(radix[-1] * (d + 1))
+    step = [sum(radix[j] for j in S) for S in members]
+    # subsets are sorted, so the last one led by v is the last containing v:
+    # its cell must take all of v's remaining demand, and past the last
+    # subset every demand is met
+    closes = [S[0] if i + 1 == N or members[i + 1][0] != S[0] else -1
+              for i, S in enumerate(members)]
+    wspan = sum(demand) + 1
+    rem, code0 = list(demand), radix[-1] - 1
+    memo: dict[int, int] = {}
+
+    def scan(i: int, code: int, w: int, n: int) -> int:
+        """The least count >= n for cell i that leaves a live subtree."""
+        S = members[i]
+        hi = min(w, *[rem[j] for j in S])
+        while n <= hi:
+            for j in S:
+                rem[j] -= n
+            ok = first(i + 1, code - n * step[i], w - n) >= 0
+            for j in S:
+                rem[j] += n
+            if ok:
+                return n
+            n += 1
+        return -1
+
+    def first(i: int, code: int, w: int) -> int:
+        if w > sum(rem) or max(rem, default=0) > w:
+            return -1
+        if w == 0:
+            return 0
+        key = (code * wspan + w) * N + i
+        n = memo.get(key)
+        if n is None:
+            c = closes[i]
+            n = memo[key] = scan(i, code, w, rem[c] if c >= 0 else 0)
+        return n
+
+    zeros = (0,) * N
+    vec = [0] * N
+    for W in weights:
+        n = first(0, code0, W)
+        if n < 0:
             continue
-        if sum(rem2.values()) == 0 and W - n > 0:
-            continue
-        for tail in _cell_vectors(subsets[1:], rem2, W - n):
-            yield (n,) + tail
+        # n is the count to apply at level i, or -1 to backtrack; a live
+        # level with no weight left has only zero cells to come
+        i, code, w = 0, code0, W
+        while i >= 0:
+            if w == 0:
+                yield tuple(vec[:i]) + zeros[i:]
+            elif n >= 0:
+                for j in members[i]:
+                    rem[j] -= n
+                code -= n * step[i]
+                w -= n
+                vec[i] = n
+                i += 1
+                n = first(i, code, w)
+                continue
+            i -= 1
+            if i >= 0:
+                n = vec[i]
+                for j in members[i]:
+                    rem[j] += n
+                code += n * step[i]
+                w += n
+                n = scan(i, code, w, n + 1)
 
 
 def _realize(vec, subsets, verts) -> dict[int, frozenset[int]]:

@@ -726,6 +726,8 @@ def run_scheme_concrete(state: ConcreteState, steps: list[Step],
         if isinstance(step, Color):
             phi = {}
             for v, names in step.phi:
+                if v not in st.live:
+                    raise SchemeError(f"{step}: vertex {v} not alive")
                 _check_declared(step, names, st.sets)
                 cols = frozenset()
                 for nm in names:

@@ -208,3 +208,25 @@ def test_max_cells_env(monkeypatch, capsys, c4_file):
         monkeypatch.setenv("CHOOSELAB_MAX_CELLS", bad)
         _assert_input_error(main(args), capsys)
         _assert_input_error(main(["audit", "key-lemma"]), capsys)
+
+
+@pytest.mark.parametrize("scale", ["0", "-1"])
+def test_scale_below_one_rejected(tmp_path, capsys, scale):
+    _assert_input_error(main(["verify-claims", "--scale", scale]), capsys)
+    p = tmp_path / "scheme.json"
+    p.write_text(json.dumps(SYMBOLIC_CFG))
+    _assert_input_error(main(["schemes", "run", "--config", str(p),
+                              "--scale", scale]), capsys)
+
+
+def test_schemes_run_profile_vertex_not_in_graph(tmp_path, capsys):
+    cfg = dict(SYMBOLIC_CFG, profile=dict(SYMBOLIC_CFG["profile"], **{"7": [7, 4]}))
+    _assert_input_error(_run_config(tmp_path, cfg), capsys)
+
+
+def test_schemes_run_concrete_color_vertex_without_list(tmp_path, capsys):
+    cfg = dict(CONCRETE_CFG, steps=[
+        {"op": "assume", "name": "A", "size": 1, "subset_of": [0],
+         "avoids": [1]},
+        {"op": "color", "phi": {"5": ["A"]}}] + CONCRETE_CFG["steps"])
+    _assert_input_error(_run_config(tmp_path, cfg), capsys)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chooselab.multicolor import (ChoosableOpts, EdgeConflict, NotInList,
-                                  SizeShort, TooLarge, choosable, colorable_ab,
+                                  SizeShort, TooLarge, _realize, choosable,
+                                  colorable_ab,
                                   enumerate_assignments_canonical,
                                   find_coloring, validate_coloring)
 from chooselab.plane import (PlaneGraph, complete_bipartite, cycle_graph,
@@ -111,10 +112,77 @@ def test_enumerate_cap():
                                              max_vectors=10))
 
 
-def test_c5_not_2_choosable_with_constant_witness():
-    v = choosable(cycle_graph(5), 2, 1)
+# -- the plain lexicographic walk, kept as the reference for emission order ---
+
+def _cell_vectors(subsets, remaining: dict[int, int], W: int):
+    """All assignments n_S >= 0 with per-vertex sums `remaining` and total W."""
+    if W < 0:
+        return
+    if not subsets:
+        if W == 0 and all(r == 0 for r in remaining.values()):
+            yield ()
+        return
+    S = subsets[0]
+    hi = min([remaining[v] for v in S] + [W])
+    for n in range(hi + 1):
+        rem2 = dict(remaining)
+        for v in S:
+            rem2[v] -= n
+        # remaining demand must still be coverable by the leftover weight
+        if W - n < max(rem2.values(), default=0):
+            continue
+        if sum(rem2.values()) == 0 and W - n > 0:
+            continue
+        for tail in _cell_vectors(subsets[1:], rem2, W - n):
+            yield (n,) + tail
+
+
+def _reference_assignments(G, f):
+    verts = sorted(G.vertices)
+    subsets = sorted(S for r in range(1, len(verts) + 1)
+                     for S in itertools.combinations(verts, r))
+    for W in range(max(f.values()), sum(f.values()) + 1):
+        for vec in _cell_vectors(subsets, dict(f), W):
+            yield _realize(vec, subsets, verts)
+
+
+def _uniform(G, k):
+    return {v: k for v in G.vertices}
+
+
+@pytest.mark.parametrize("G, f, limit", [
+    (path_graph(3), _uniform(path_graph(3), 7), None),   # all 410 classes
+    (path_graph(4), {0: 3, 1: 5, 2: 2, 3: 4}, None),
+    (cycle_graph(5), _uniform(cycle_graph(5), 2), None),
+    # the reference takes 30 s over all 29,388 K2,4 classes
+    (complete_bipartite(2, 4), _uniform(complete_bipartite(2, 4), 2), 5000),
+    (cycle_graph(4), _uniform(cycle_graph(4), 3), None),
+    (path_graph(4), _uniform(path_graph(4), 7), 2000),
+], ids=["P3-f7", "P4-f3524", "C5-f2", "K24-f2", "C4-f3", "P4-f7"])
+def test_enumeration_matches_reference_walk(G, f, limit):
+    got = itertools.islice(enumerate_assignments_canonical(G, f), limit)
+    want = itertools.islice(_reference_assignments(G, f), limit)
+    assert list(got) == list(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-1, 3), min_size=1, max_size=4))
+def test_enumeration_matches_reference_walk_random(demands):
+    # the enumeration depends on the vertex set and f only, not on the edges
+    G = PlaneGraph(edges=[], vertices=range(len(demands)))
+    f = dict(enumerate(demands))
+    assert list(enumerate_assignments_canonical(G, f)) == \
+        list(_reference_assignments(G, f))
+
+
+@pytest.mark.parametrize("n", [5, 7, 9], ids=["C5", "C7", "C9"])
+def test_c5_not_2_choosable_with_constant_witness(n):
+    # the constant lists are the first class; the test that prunes the walk
+    # must not build its whole table before emitting it
+    v = choosable(cycle_graph(n), 2, 1)
     assert not v.ok
-    assert v.witness == {i: fs(1, 2) for i in range(5)}
+    assert v.witness == {i: fs(1, 2) for i in range(n)}
+    assert v.checked == 1
 
 
 def test_c4_is_2_choosable():
