@@ -35,7 +35,19 @@ def _int_or_map(spec: str):
         return int(spec)
     except ValueError:
         with open(spec) as fh:
-            return {int(v): int(n) for v, n in json.load(fh).items()}
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{spec} is not a JSON object") from None
+        return {int(v): int(n) for v, n in data.items()}
+
+
+def _bad_demand(name: str, x, G) -> str | None:
+    """Why an f or g value (an int or a vertex map) is not usable on G."""
+    if isinstance(x, dict) and set(x) != set(G.vertices):
+        return f"the --{name} map must give a value for each vertex of the graph"
+    if min([x] if isinstance(x, int) else x.values(), default=0) < 0:
+        return f"--{name} must not be negative"
+    return None
 
 
 def _emit(data: dict, fmt: str, text: str | None = None) -> None:
@@ -84,7 +96,11 @@ def cmd_check_choosability(args) -> int:
         if args.a is None or args.b is None:
             print("--colorable needs --a and --b", file=sys.stderr)
             return 2
-        ok = colorable_ab(G, args.a, args.b)
+        try:
+            ok = colorable_ab(G, args.a, args.b)
+        except ValueError as exc:
+            print(f"bad input: {exc}", file=sys.stderr)
+            return 2
         _emit({"colorable": ok, "a": args.a, "b": args.b}, args.report,
               f"({args.a},{args.b})-colorable: {'yes' if ok else 'no'}")
         return 0 if ok else 1
@@ -94,9 +110,13 @@ def cmd_check_choosability(args) -> int:
     try:
         f = _int_or_map(args.f)
         g = _int_or_map(args.g)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, TypeError) as exc:
         print(f"bad f/g spec: {exc}", file=sys.stderr)
         return 2
+    for name, x in (("f", f), ("g", g)):
+        if (why := _bad_demand(name, x, G)) is not None:
+            print(f"bad f/g spec: {why}", file=sys.stderr)
+            return 2
     try:
         verdict = choosable(G, f, g,
                             ChoosableOpts(max_vectors=args.max_vectors))

@@ -10,6 +10,7 @@ subsets containing v partitioning L(v)).
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import os
 from decimal import Decimal, InvalidOperation
@@ -68,8 +69,19 @@ def find_coloring(G: PlaneGraph, lists: dict[int, frozenset[int]],
                   demand: dict[int, int]) -> dict[int, frozenset[int]] | None:
     """Complete backtracking search for an (L, g)-coloring.
 
-    Most-constrained vertex first (smallest |L(v)| - g(v), ties by id);
-    color sets tried as lexicographic combinations.  Exact decision
+    The next vertex is the uncolored one with the least slack
+    |avail(v)| - g(v), ties going to the one with the most colored
+    neighbors (Brélaz's DSATUR rule), then to the smallest id.  Its color
+    sets are tried as lexicographic combinations of avail(v), the colors
+    of L(v) that no colored neighbor uses; a set is rejected at once if it
+    leaves an uncolored neighbor fewer colors than it needs.
+
+    The search is iterative: an explicit stack holds one frame per colored
+    vertex, so its depth is not bounded by the recursion limit.  Uncolored
+    vertices wait in a heap keyed (slack, -colored neighbors, id); a key is
+    pushed again whenever it changes, and a popped entry that is no longer
+    current is dropped, so each pick costs O(log n) amortized; a heap of
+    mostly stale entries is rebuilt, so it stays O(n).  Exact decision
     procedure: returns a coloring iff one exists.
     """
     verts = sorted(G.vertices)
@@ -77,45 +89,79 @@ def find_coloring(G: PlaneGraph, lists: dict[int, frozenset[int]],
         return None
     avail = {v: sorted(lists.get(v, frozenset())) for v in verts}
     need = {v: demand.get(v, 0) for v in verts}
+    nbrs = {v: G.neighbors(v) for v in verts}
+    colored = dict.fromkeys(verts, 0)     # how many neighbors have a frame
     chosen: dict[int, frozenset[int]] = {}
+    heap: list[tuple[int, int, int]] = []
 
-    def pick_next(pending: list[int]) -> int:
-        return min(pending, key=lambda v: (len(avail[v]) - need[v], v))
+    def push(v: int) -> None:
+        heapq.heappush(heap, (len(avail[v]) - need[v], -colored[v], v))
 
-    def solve(pending: list[int]) -> bool:
-        if not pending:
-            return True
-        v = pick_next(pending)
-        rest = [w for w in pending if w != v]
-        if len(avail[v]) < need[v]:
-            return False
-        for combo in itertools.combinations(avail[v], need[v]):
+    for v in verts:
+        push(v)
+
+    def open_frame() -> list:
+        """A frame for the uncolored vertex of least key.  An entry is
+        current iff it matches the vertex's key now, and every uncolored
+        vertex has a current entry."""
+        if len(heap) > 4 * len(verts):
+            heap.clear()
+            for v in verts:
+                if v not in chosen:
+                    push(v)
+        while True:
+            slack, minus_c, v = heapq.heappop(heap)
+            if (v not in chosen and minus_c == -colored[v]
+                    and slack == len(avail[v]) - need[v]):
+                for w in nbrs[v]:
+                    if w not in chosen:
+                        colored[w] += 1
+                return [v, itertools.combinations(avail[v], need[v]), []]
+
+    def undo(touched: list) -> None:
+        for w, old in touched:
+            avail[w] = old
+        touched.clear()
+
+    def next_set(v: int, combos, touched: list) -> frozenset[int] | None:
+        """Undo v's current color set, then narrow v's uncolored neighbors
+        to the next set that leaves each enough colors; None if none does."""
+        for combo in combos:
+            undo(touched)
             cset = frozenset(combo)
-            touched = []
-            ok = True
-            for w in G.neighbors(v):
-                if w in chosen or w not in avail:
+            for w in nbrs[v]:
+                if w in chosen:
                     continue
                 old = avail[w]
                 new = [c for c in old if c not in cset]
                 if len(new) < need[w]:
-                    avail[w] = old
-                    ok = False
                     break
                 avail[w] = new
                 touched.append((w, old))
-            if ok:
-                chosen[v] = cset
-                if solve(rest):
-                    return True
-                del chosen[v]
-            for w, old in touched:
-                avail[w] = old
-        return False
+            else:
+                return cset
+        undo(touched)
+        return None
 
-    if solve(verts):
-        return dict(chosen)
-    return None
+    stack: list[list] = []    # frames [v, combinations left, narrowed]
+    while len(stack) < len(verts):
+        stack.append(open_frame())
+        while (cset := next_set(*stack[-1])) is None:
+            v = stack.pop()[0]          # v is uncolored again
+            chosen.pop(v, None)
+            for w in nbrs[v]:
+                if w not in chosen:
+                    colored[w] -= 1
+                    push(w)
+            push(v)
+            if not stack:
+                return None
+        v = stack[-1][0]
+        chosen[v] = cset
+        for w in nbrs[v]:
+            if w not in chosen:
+                push(w)
+    return dict(chosen)
 
 
 # -- canonical enumeration up to color renaming ---------------------------

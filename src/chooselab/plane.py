@@ -205,12 +205,18 @@ def build_plane_graph(spec: dict | str) -> PlaneGraph:
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
-    if "rotations" in spec:
-        rot = {int(v): nbrs for v, nbrs in spec["rotations"].items()}
-        return PlaneGraph(rotation=rot, vertices=spec.get("vertices"))
-    if "edges" in spec:
-        return PlaneGraph(edges=[tuple(e) for e in spec["edges"]],
-                          vertices=spec.get("vertices"))
+    try:
+        if "rotations" in spec:
+            rot = {int(v): nbrs for v, nbrs in spec["rotations"].items()}
+            return PlaneGraph(rotation=rot, vertices=spec.get("vertices"))
+        if "edges" in spec:
+            return PlaneGraph(edges=[tuple(e) for e in spec["edges"]],
+                              vertices=spec.get("vertices"))
+    except GraphError:
+        raise
+    except (TypeError, ValueError, AttributeError) as exc:
+        # not an object, ids that are not integers, edges that are not pairs
+        raise GraphError(f"malformed graph spec: {exc}") from None
     raise GraphError("spec needs 'rotations' or 'edges'")
 
 
@@ -266,25 +272,17 @@ def consecutive(G: PlaneGraph, u: int, x: int, y: int) -> bool:
 class DegreeConstraint:
     """One entry of a path/cycle pattern.
 
-    kind: "exact", "atleast", "atmost", "class" (d with exactly t 3-neighbors)
-    or "class_atleast" (d with at least t 3-neighbors).
+    kind: "exact" (degree d) or "atleast" (degree d or more).
     """
 
     kind: str
     d: int
-    t: int = 0
 
     def matches(self, cls: DegreeClass) -> bool:
         if self.kind == "exact":
             return cls.d == self.d
         if self.kind == "atleast":
             return cls.d >= self.d
-        if self.kind == "atmost":
-            return cls.d <= self.d
-        if self.kind == "class":
-            return cls.d == self.d and cls.t == self.t
-        if self.kind == "class_atleast":
-            return cls.d == self.d and cls.t >= self.t
         raise ValueError(f"bad constraint kind {self.kind!r}")
 
 
@@ -294,18 +292,6 @@ def exact(d: int) -> DegreeConstraint:
 
 def at_least(d: int) -> DegreeConstraint:
     return DegreeConstraint("atleast", d)
-
-
-def at_most(d: int) -> DegreeConstraint:
-    return DegreeConstraint("atmost", d)
-
-
-def klass(d: int, t: int) -> DegreeConstraint:
-    return DegreeConstraint("class", d, t)
-
-
-def klass_at_least(d: int, t: int) -> DegreeConstraint:
-    return DegreeConstraint("class_atleast", d, t)
 
 
 @dataclass(frozen=True)

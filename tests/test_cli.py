@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chooselab.cli import main
 from chooselab.plane import cube_graph, cycle_graph
@@ -230,3 +233,82 @@ def test_schemes_run_concrete_color_vertex_without_list(tmp_path, capsys):
          "avoids": [1]},
         {"op": "color", "phi": {"5": ["A"]}}] + CONCRETE_CFG["steps"])
     _assert_input_error(_run_config(tmp_path, cfg), capsys)
+
+
+@pytest.mark.parametrize("a, b", [("3", "5"), ("3", "0")])
+def test_colorable_bad_a_b(capsys, c5_file, a, b):
+    _assert_input_error(main(["check-choosability", "--graph", c5_file,
+                              "--colorable", "--a", a, "--b", b]), capsys)
+
+
+@pytest.mark.parametrize("which", ["f", "g"])
+def test_negative_demand_rejected(tmp_path, capsys, c5_file, which):
+    p = tmp_path / "map.json"
+    p.write_text(json.dumps({"0": 1, "1": 1, "2": 1, "3": 1, "4": -1}))
+    for spec in ("-1", str(p)):
+        fg = {"f": "1", "g": "1", which: spec}
+        _assert_input_error(main(["check-choosability", "--graph", c5_file,
+                                  f"--f={fg['f']}", f"--g={fg['g']}"]), capsys)
+
+
+@pytest.mark.parametrize("fmap", [{"0": 2, "1": 2, "2": 2, "3": 2},
+                                  {str(v): 2 for v in range(6)}, [2] * 5,
+                                  {str(v): [2] for v in range(5)}],
+                         ids=["missing", "extra", "array", "list-value"])
+def test_bad_f_map_rejected(tmp_path, capsys, c5_file, fmap):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(fmap))
+    _assert_input_error(main(["check-choosability", "--graph", c5_file,
+                              "--f", str(p), "--g", "1"]), capsys)
+
+
+@pytest.mark.parametrize("spec", [
+    {"edges": [[0]]}, {"edges": 5}, {"edges": [["a", "b"]]},
+    {"edges": [[0, None]]}, {"rotations": [1, 2]}, {"rotations": {"0": 5}},
+    {"rotations": {"x": [1]}}, {"edges": [[0, 1]], "vertices": 3}, [1, 2], 5])
+def test_malformed_graph_rejected(tmp_path, capsys, spec):
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(spec))
+    _assert_input_error(main(["check-choosability", "--graph", str(p),
+                              "--colorable", "--a", "2", "--b", "1"]), capsys)
+
+
+# -- fuzz: every input exits 0, 1 or 2, never with a traceback -----------------
+
+_SMALL = st.integers(-1, 3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 5), edge_bits=st.integers(0, 2 ** 10 - 1),
+       colorable=st.booleans(), a=_SMALL, b=_SMALL,
+       f=st.one_of(_SMALL, st.dictionaries(st.integers(0, 5), _SMALL)),
+       g=st.one_of(_SMALL, st.dictionaries(st.integers(0, 5), _SMALL)))
+def test_check_choosability_fuzz(tmp_path_factory, n, edge_bits, colorable,
+                                 a, b, f, g):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    pairs = [(u, v) for v in range(5) for u in range(v)]
+    edges = [[u, v] for i, (u, v) in enumerate(pairs)
+             if v < n and edge_bits >> i & 1]
+    (tmp / "g.json").write_text(json.dumps({"vertices": list(range(n)),
+                                            "edges": edges}))
+    argv = ["check-choosability", "--graph", str(tmp / "g.json")]
+    if colorable:
+        argv += ["--colorable", f"--a={a}", f"--b={b}"]
+    else:
+        for name, x in (("f", f), ("g", g)):
+            if isinstance(x, dict):
+                (tmp / f"{name}.json").write_text(
+                    json.dumps({str(v): k for v, k in x.items()}))
+                x = tmp / f"{name}.json"
+            argv.append(f"--{name}={x}")
+        # a full sweep at f = 3 on five vertices takes seconds; an
+        # exceeded cap exits 2
+        argv.append("--max-vectors=300")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:       # argparse's usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()

@@ -9,7 +9,7 @@ from chooselab.multicolor import (ChoosableOpts, EdgeConflict, NotInList,
                                   enumerate_assignments_canonical,
                                   find_coloring, validate_coloring)
 from chooselab.plane import (PlaneGraph, complete_bipartite, cycle_graph,
-                             path_graph)
+                             grid_patch, path_graph)
 
 
 def fs(*xs):
@@ -81,6 +81,60 @@ def test_find_coloring_agrees_with_enumeration_oracle(seed):
     assert (got is None) == (want is None)
     if got is not None:
         assert validate_coloring(G, lists, demand, got) == (True, None)
+
+
+@pytest.mark.parametrize("a, b", [(15, 4), (30, 8)])
+def test_find_coloring_grid_patch_32(a, b):
+    # 1,089 vertices: deeper than the recursion limit if each vertex took a
+    # stack frame of the interpreter
+    G = grid_patch(32, 32)
+    lists = {v: frozenset(range(1, a + 1)) for v in G.vertices}
+    demand = {v: b for v in G.vertices}
+    C = find_coloring(G, lists, demand)
+    assert C is not None
+    assert validate_coloring(G, lists, demand, C) == (True, None)
+
+
+def test_find_coloring_backtracks_across_a_frame():
+    # every slack is 1 and no vertex is colored, so 0 goes first and tries
+    # {1}.  That leaves 1 and 2 the list {3} each, which the forward check
+    # accepts; the conflict shows only in the frame of 1, so the search must
+    # go back to 0 and take {2}.
+    G = PlaneGraph(edges=[(0, 1), (0, 2), (1, 2)])
+    lists = {0: fs(1, 2), 1: fs(1, 3), 2: fs(1, 3)}
+    demand = {0: 1, 1: 1, 2: 1}
+    C = find_coloring(G, lists, demand)
+    assert C is not None
+    assert validate_coloring(G, lists, demand, C) == (True, None)
+    assert C[0] == fs(2)
+
+
+def test_find_coloring_heap_stays_linear(monkeypatch):
+    # a 3x3 grid beside a K4, all lists {1, 2, 3}: the search colors the
+    # grid first and backtracks through each of its colorings before it
+    # gives up, pushing thousands of keys; the stale ones must be dropped
+    import heapq
+    import types
+    from chooselab import multicolor
+
+    grid = grid_patch(2, 2)
+    G = PlaneGraph(edges=grid.edges() + [(9 + i, 9 + j) for i in range(4)
+                                         for j in range(i + 1, 4)])
+    largest = 0
+
+    def push(heap, entry):
+        nonlocal largest
+        heapq.heappush(heap, entry)
+        largest = max(largest, len(heap))
+
+    monkeypatch.setattr(multicolor, "heapq", types.SimpleNamespace(
+        heappush=push, heappop=heapq.heappop, heapify=heapq.heapify))
+    lists = {v: fs(1, 2, 3) for v in G.vertices}
+    assert find_coloring(G, lists, {v: 1 for v in G.vertices}) is None
+    n, m = len(G.vertices), G.num_edges()
+    # 4 entries a vertex when a pick compacts the heap, plus what one run
+    # of backtracking pushes: each vertex and each end of each edge once
+    assert largest <= 5 * n + 2 * m
 
 
 def test_enumerate_single_vertex():
