@@ -7,20 +7,21 @@ corners.  A claim passes when every variant's scheme is legal and deletes
 all of H, with assumptions (if any) itemized.
 
 The catalog is `data/claims.json`, read once per process.  Its steps name
-vertices as the paper does; `build_claim` maps names to host ids before
-decoding them with `reduction.step_from_json`.
+vertices as the paper does; `build_claim` decodes them with
+`reduction.step_from_json`, mapping names to host ids.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import random
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .nice import is_nice, profile
 from .plane import PlaneGraph
-from .reduction import (ConcreteState, SchemeError, SchemeTrace, Step,
+from .reduction import (ConcreteState, NodeCapReached, SchemeTrace, Step,
                         SymbolicState, run_scheme, run_scheme_concrete,
                         step_from_json)
 
@@ -65,24 +66,6 @@ def _entry(claim_id: str) -> dict:
 
 # -- building ---------------------------------------------------------------
 
-_VERTEX_KEYS = ("u", "v", "u1", "u2", "a", "b", "c")
-_VERTEX_LISTS = ("subset_of", "avoids")
-
-
-def _with_ids(d: dict, ids: dict[str, int]) -> dict:
-    """A stored step with its vertex names replaced by host ids."""
-    d = dict(d)
-    for key in _VERTEX_KEYS:
-        if key in d:
-            d[key] = ids[d[key]]
-    for key in _VERTEX_LISTS:
-        if key in d:
-            d[key] = [ids[x] for x in d[key]]
-    if "phi" in d:
-        d["phi"] = {str(ids[x]): names for x, names in d["phi"].items()}
-    return d
-
-
 @dataclass
 class BuiltVariant:
     claim_id: str
@@ -95,12 +78,6 @@ class BuiltVariant:
     scheme: list[Step]
     literal: list[Step] | None
     nice_expected: bool
-
-    def label_of(self, vid: int) -> str:
-        for lab, i in self.labels.items():
-            if i == vid:
-                return lab
-        return str(vid)
 
 
 def build_claim(claim_id: str, variant: str | int = 0) -> BuiltVariant:
@@ -133,23 +110,24 @@ def build_claim(claim_id: str, variant: str | int = 0) -> BuiltVariant:
         labels=labels,
         golden_profile=var.get("profile"),
         state_override=var.get("state"),
-        scheme=[step_from_json(_with_ids(d, labels)) for d in var["scheme"]],
-        literal=[step_from_json(_with_ids(d, labels)) for d in var["literal"]]
+        scheme=[step_from_json(d, labels.__getitem__) for d in var["scheme"]],
+        literal=[step_from_json(d, labels.__getitem__) for d in var["literal"]]
         if "literal" in var else None,
         nice_expected=var.get("nice", True),
     )
 
 
+def _fg(bv: BuiltVariant) -> dict[int, tuple[int, int]]:
+    """(f, g) in units of m per vertex: the variant's state, else its profile."""
+    if bv.state_override is None:
+        return profile(bv.graph, set(bv.h)).pairs()
+    dem = bv.state_override["demand"]
+    return {bv.labels[lab]: (size, dem if isinstance(dem, int) else dem[lab])
+            for lab, size in bv.state_override["lists"].items()}
+
+
 def initial_state(bv: BuiltVariant, m: int = 1) -> SymbolicState:
-    if bv.state_override is not None:
-        sizes = bv.state_override["lists"]
-        dem = bv.state_override["demand"]
-        prof = {bv.labels[lab]: (size, dem if isinstance(dem, int)
-                                 else dem[lab])
-                for lab, size in sizes.items()}
-        return SymbolicState.from_profile(bv.graph, prof, m)
-    p = profile(bv.graph, set(bv.h))
-    return SymbolicState.from_profile(bv.graph, p.pairs(), m)
+    return SymbolicState.from_profile(bv.graph, _fg(bv), m)
 
 
 # -- verification -------------------------------------------------------------
@@ -318,50 +296,36 @@ def verify_all(m: int = 1, exclude: tuple[str, ...] = ()) -> CatalogSummary:
 # -- concrete spot checks -------------------------------------------------------
 
 
-def sample_assignment(bv: BuiltVariant, seed: int, m: int = 1
+def sample_assignment(bv: BuiltVariant, seed: int
                       ) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
     """A pseudo-random concrete assignment matching the variant's size profile.
 
     Colors are drawn from a shared pool biased toward overlap, the adversarial
     direction for reduction schemes.
     """
-    import random
-
     rng = random.Random(seed)
-    if bv.state_override is not None:
-        sizes = {bv.labels[lab]: s * m
-                 for lab, s in bv.state_override["lists"].items()}
-        dem_spec = bv.state_override["demand"]
-        demand = {bv.labels[lab]: (dem_spec if isinstance(dem_spec, int)
-                                   else dem_spec[lab]) * m
-                  for lab in bv.state_override["lists"]}
-    else:
-        p = profile(bv.graph, set(bv.h))
-        sizes = {v: f * m for v, (f, _) in p.pairs().items()}
-        demand = {v: g * m for v, (_, g) in p.pairs().items()}
-    pool_size = max(sizes.values()) + rng.randrange(0, 1 + max(sizes.values()))
-    lists = {}
-    for v in sorted(sizes):
-        lists[v] = frozenset(rng.sample(range(1, pool_size + 1), sizes[v]))
-    return lists, demand
+    fg = _fg(bv)
+    big = max(f for f, _ in fg.values())
+    colors = range(1, big + rng.randrange(0, 1 + big) + 1)
+    lists = {v: frozenset(rng.sample(colors, fg[v][0])) for v in sorted(fg)}
+    return lists, {v: g for v, (_, g) in fg.items()}
 
 
 def concrete_cross_check(bv: BuiltVariant, samples: int = 20,
-                         seed: int = 20260809) -> list[int]:
+                         seed: int = 20260809) -> tuple[list[int], list[int]]:
     """Replay the scheme concretely on sampled assignments.
 
-    Returns the list of failing sample indices (empty when the symbolic
-    verdict is corroborated on every sample).
+    Returns the indices of the failing samples (no choices complete the
+    scheme) and of the capped ones (the node cap stopped the search first).
+    Both are empty when every sample corroborates the symbolic verdict.
     """
-    failures = []
+    failed, capped = [], []
     for i in range(samples):
-        lists, demand = sample_assignment(bv, seed + i)
-        st = ConcreteState.from_assignment(bv.graph, lists, demand)
-        st.live = set(lists)
+        st = ConcreteState.from_assignment(bv.graph,
+                                           *sample_assignment(bv, seed + i))
         try:
-            result = run_scheme_concrete(st, bv.scheme)
-        except SchemeError:     # the node cap stopped the search
-            result = None
-        if result is None:
-            failures.append(i)
-    return failures
+            if run_scheme_concrete(st, bv.scheme) is None:
+                failed.append(i)
+        except NodeCapReached:
+            capped.append(i)
+    return failed, capped

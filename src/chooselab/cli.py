@@ -194,6 +194,22 @@ def cmd_audit(args) -> int:
     return 1 if findings else 0
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _nat(x) -> bool:
+    return _is_int(x) and x >= 0
+
+
+def _vertex_map(cfg: dict, key: str, ok, what: str) -> dict:
+    """cfg[key]: a JSON object from vertices to values that pass `ok`."""
+    data = cfg[key]
+    if not (isinstance(data, dict) and all(map(ok, data.values()))):
+        raise ValueError(f"{key!r} must map each vertex to {what}")
+    return {int(v): x for v, x in data.items()}
+
+
 def cmd_schemes_run(args) -> int:
     if _bad_scale(args):
         return 2
@@ -204,10 +220,18 @@ def cmd_schemes_run(args) -> int:
         steps = [step_from_json(d) for d in cfg["steps"]]
         mode = cfg.get("mode", "symbolic")
         if mode == "symbolic":
-            prof = {int(v): tuple(fg) for v, fg in cfg["profile"].items()}
+            prof = _vertex_map(cfg, "profile", lambda fg: isinstance(fg, list)
+                               and len(fg) == 2 and all(map(_nat, fg)),
+                               "a pair [f, g] of ints >= 0")
+        elif mode == "concrete":
+            lists = _vertex_map(cfg, "lists", lambda c: isinstance(c, list)
+                                and all(map(_is_int, c)),
+                                "a list of int colors")
+            demand = _vertex_map(cfg, "demand", _nat, "an int >= 0")
+            if set(demand) != set(lists):
+                raise ValueError("'demand' and 'lists' must name the same vertices")
         else:
-            lists = {int(v): frozenset(c) for v, c in cfg["lists"].items()}
-            demand = {int(v): d for v, d in cfg["demand"].items()}
+            raise ValueError(f"mode must be symbolic or concrete, not {mode!r}")
     except KeyError as exc:
         print(f"bad scheme config: missing key {exc}", file=sys.stderr)
         return 2
@@ -219,14 +243,14 @@ def cmd_schemes_run(args) -> int:
             state = SymbolicState.from_profile(G, prof, m=args.scale)
             trace = run_scheme(state, steps, m=args.scale)
         else:
-            state = ConcreteState.from_assignment(G, lists, demand)
+            state = ConcreteState.from_assignment(
+                G, {v: frozenset(c) for v, c in lists.items()}, demand)
             final = run_scheme_concrete(state, steps)
     except (SchemeError, GraphError) as exc:
         print(f"bad scheme: {exc}", file=sys.stderr)
         return 2
     if mode == "symbolic":
-        _emit(trace.as_dict(), args.report,
-              json.dumps(trace.as_dict(), indent=2))
+        _emit(trace.as_dict(), args.report)
         return 0 if trace.legal and trace.exhaustive else 1
     ok = final is not None
     _emit({"completed": ok}, args.report,

@@ -227,21 +227,18 @@ def trace_faces(G: PlaneGraph) -> list[Face]:
     """
     if G.abstract:
         raise NotEmbedded("graph has no rotation system")
-    darts = {(u, v) for u in G.vertices for v in G.rotation(u)}
-    faces = []
-    while darts:
-        start = min(darts)
-        walk = []
-        dart = start
-        while True:
-            walk.append(dart)
-            darts.discard(dart)
-            u, v = dart
-            dart = (v, G.succ(v, u))
-            if dart == start:
-                break
-        faces.append(Face(tuple(walk)))
-    faces.sort(key=lambda f: min(f.boundary))
+    faces, seen = [], set()
+    # the least dart not yet walked is the least dart of its face, so the
+    # faces come out ordered by their least darts
+    for start in sorted((u, v) for u in G.vertices for v in G.rotation(u)):
+        if start not in seen:
+            walk, dart = [], start
+            while not walk or dart != start:
+                walk.append(dart)
+                u, v = dart
+                dart = (v, G.succ(v, u))
+            seen.update(walk)
+            faces.append(Face(tuple(walk)))
     if G.is_connected():
         euler = len(G.vertices) - G.num_edges() + len(faces)
         if euler != 2:

@@ -18,149 +18,53 @@ Pair saves (and assumed three-set splits) are branch points: the split
 (0,k,0), (0,0,k).  Downstream inequalities are affine in the split, so
 corner legality covers every split; run_scheme_all_splits verifies that
 directly when wanted.
+
+Each step kind is one class that holds everything about it: its JSON op
+name, whether it is a branch point, its symbolic effect, its concrete
+choices and its JSON codec.  The drivers know nothing about kinds.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable, ClassVar, Iterable, Iterator
 
 from .plane import PlaneGraph
-
-CORNER_NAMES = ("S", "T", "R")
-
 
 class SchemeError(ValueError):
     pass
 
 
-# -- steps ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Delete:
-    u: int
-    assume: str | None = None
-
-    def __str__(self) -> str:
-        return f"<{self.u}>"
-
-
-@dataclass(frozen=True)
-class Save:
-    """ParCol(u | v, k): color u with k*m colors outside L(v)."""
-
-    u: int
-    v: int
-    k: int = 1
-    assume: str | None = None
-
-    def __str__(self) -> str:
-        return f"<{self.u}|{self.v},{self.k}m>"
-
-
-@dataclass(frozen=True)
-class PairSave:
-    """ParCol({u1, u2} | v, k*): S u R at u1, T u R at u2, |S|+|T|+|R| = k*m."""
-
-    u1: int
-    u2: int
-    v: int
-    k: int = 1
-    assume: str | None = None
-
-    def __str__(self) -> str:
-        return f"<{{{self.u1},{self.u2}}}|{self.v},{self.k}m*>"
-
-
-@dataclass(frozen=True)
-class Color:
-    """Explicit ParCol: phi maps vertices to tuples of declared set names."""
-
-    phi: tuple[tuple[int, tuple[str, ...]], ...]
-    assume: str | None = None
-
-    @staticmethod
-    def of(phi: dict[int, tuple[str, ...] | list[str]],
-           assume: str | None = None) -> "Color":
-        return Color(tuple(sorted((v, tuple(names)) for v, names in phi.items())),
-                     assume=assume)
-
-    def __str__(self) -> str:
-        parts = ", ".join(f"{v}:{'+'.join(names)}" for v, names in self.phi)
-        return f"<color {parts}>"
-
-
-@dataclass(frozen=True)
-class AssumeSet:
-    """Declare a named color set with stated size and attributes.
-
-    subset_of: vertices x with the set inside L(x); avoids: vertices y with
-    the set disjoint from L(y); avoid_sets / disjoint_from: other declared
-    sets it avoids.  Existence is certified from current bounds when
-    possible, otherwise recorded as an assumption under `tag`.
-    """
-
-    name: str
-    size: int
-    subset_of: tuple[int, ...]
-    avoids: tuple[int, ...] = ()
-    avoid_sets: tuple[str, ...] = ()
-    disjoint_from: tuple[str, ...] = ()
-    tag: str = ""
-
-    def __str__(self) -> str:
-        return f"<assume {self.name} size {self.size}m>"
-
-
-@dataclass(frozen=True)
-class AssumeThreeSets:
-    """Declare a three-sets split (S, T, R) on the pools at a, b against c.
-
-    S lives in L(a) minus the `minus` sets, T in L(b) likewise, R in
-    L(a) & L(b) & L(c); sizes form a simplex s + t + r = k resolved at
-    branch corners.  `z_cap` caps the c-pool size when the argument trims
-    it; `s_avoids_c` states whether S and T avoid all of L(c) (true when
-    the c-pool is the whole list L(c)).
-    """
-
-    s_name: str
-    t_name: str
-    r_name: str
-    a: int
-    b: int
-    c: int
-    k: int = 1
-    minus: tuple[str, ...] = ()
-    z_cap: int | None = None
-    s_avoids_c: bool = True
-    tag: str = ""
-
-    def __str__(self) -> str:
-        return f"<assume three-sets {self.s_name},{self.t_name},{self.r_name}>"
-
-
-Step = Delete | Save | PairSave | Color | AssumeSet | AssumeThreeSets
-
-
-def is_branch_point(step: Step) -> bool:
-    return isinstance(step, (PairSave, AssumeThreeSets))
+class NodeCapReached(SchemeError):
+    """The concrete search stopped at its node cap, before a verdict."""
 
 
 # -- state ----------------------------------------------------------------
 
+class _Live:
+    def live_neighbors(self, v: int) -> list[int]:
+        return [w for w in sorted(self.adj[v]) if w in self.live]
+
+    def deletion_need(self, u: int) -> int:
+        """g(u) plus g over the live neighbors of u: what DegDel(u) needs."""
+        return self.g[u] + sum(self.g[w] for w in self.live_neighbors(u))
+
+    def require(self, step: Step, vertices: Iterable[int]) -> None:
+        for x in vertices:
+            if x not in self.adj:
+                raise SchemeError(f"{step}: vertex {x} is not in the configuration")
+
+
 @dataclass
 class SetVar:
-    name: str
     size: int
     containers: frozenset[int]
     avoids: frozenset[int]
-    certified: bool
-    tag: str = ""
 
 
 @dataclass
-class SymbolicState:
+class SymbolicState(_Live):
     """Worst-case bounds, in units of m, for a triple under reduction."""
 
     adj: dict[int, frozenset[int]]
@@ -174,22 +78,36 @@ class SymbolicState:
     @staticmethod
     def from_profile(G: PlaneGraph, profile: dict[int, tuple[int, int]],
                      m: int = 1) -> "SymbolicState":
-        adj = {v: G.neighbors(v) & set(profile) for v in profile}
-        return SymbolicState(
-            adj=adj,
-            live=set(profile),
-            lo={v: f * m for v, (f, _) in profile.items()},
-            hi={v: f * m for v, (f, _) in profile.items()},
-            g={v: gg * m for v, (_, gg) in profile.items()},
-        )
+        lo = {v: f * m for v, (f, _) in profile.items()}
+        return SymbolicState({v: G.neighbors(v) & set(profile) for v in profile},
+                             set(profile), lo, dict(lo),
+                             {v: g * m for v, (_, g) in profile.items()})
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(self.adj, set(self.live), dict(self.lo),
                              dict(self.hi), dict(self.g),
                              dict(self.setvars), set(self.hits))
 
-    def live_neighbors(self, v: int) -> list[int]:
-        return [w for w in sorted(self.adj[v]) if w in self.live]
+
+@dataclass
+class ConcreteState(_Live):
+    adj: dict[int, frozenset[int]]
+    live: set[int]
+    lists: dict[int, frozenset[int]]
+    g: dict[int, int]
+    sets: dict[str, frozenset[int]] = field(default_factory=dict)
+
+    @staticmethod
+    def from_assignment(G: PlaneGraph, lists: dict[int, frozenset[int]],
+                        demand: dict[int, int]) -> "ConcreteState":
+        verts = set(lists)
+        adj = {v: G.neighbors(v) & verts for v in verts}
+        return ConcreteState(adj=adj, live=set(verts), lists=dict(lists),
+                             g=dict(demand))
+
+    def copy(self) -> "ConcreteState":
+        return ConcreteState(self.adj, set(self.live), dict(self.lists),
+                             dict(self.g), dict(self.sets))
 
 
 @dataclass
@@ -211,7 +129,6 @@ class BranchTrace:
     corners: tuple[str, ...]
     records: list[StepRecord] = field(default_factory=list)
     all_deleted: bool = False
-    halted: bool = False
 
     @property
     def legal(self) -> bool:
@@ -259,11 +176,39 @@ class SchemeTrace:
         }
 
 
-# -- symbolic execution ----------------------------------------------------
+# -- shared pieces of the step kinds ---------------------------------------
+
+def _record(rec: list[StepRecord], step, check: str, verdict: str,
+            detail: str = "", lhs=None, rhs=None) -> bool:
+    """Append one record; False (halt) when it is illegal."""
+    rec.append(StepRecord(str(step), check, lhs, rhs, verdict, detail))
+    return verdict != "illegal"
+
+
+def _bound(rec: list[StepRecord], step, check: str, have: int, need: int,
+           illegal: str, cause: str = "") -> bool:
+    """Record have >= need: legal, else assumed under step.assume (`cause`
+    names the failure), else illegal with detail `illegal`."""
+    if have >= need:
+        return _record(rec, step, check, "legal", "", have, need)
+    if step.assume:
+        just = f"paper-justified: {step.assume}"
+        return _record(rec, step, check, "assumed",
+                       f"{cause} ({just})" if cause else just, have, need)
+    return _record(rec, step, check, "illegal", illegal, have, need)
+
+
+def _certify(rec: list[StepRecord], step, check: str, lhs: int, rhs: int,
+             ok: bool, tag: str) -> bool:
+    """Record a declaration as certified when ok, else as assumed under tag."""
+    if ok:
+        return _record(rec, step, check, "certified", "", lhs, rhs)
+    return _record(rec, step, check, "assumed",
+                   f"paper-justified: {tag or 'unstated'}", lhs, rhs)
+
 
 def _fresh(st: SymbolicState, base: str) -> str:
-    name = base
-    i = 1
+    name, i = base, 1
     while name in st.setvars:
         i += 1
         name = f"{base}#{i}"
@@ -304,196 +249,440 @@ def _apply_color(st: SymbolicState, phi: dict[int, list[str]],
         detail = "; ".join(problems + [f"lo({x})={st.lo[x]} < g({x})={st.g[x]}"
                                        for x in bad])
         if assume:
-            rec.append(StepRecord(step_str, "ParCol legality", None, None,
-                                  "assumed", f"{detail} (paper-justified: {assume})"))
-            return True
-        rec.append(StepRecord(step_str, "ParCol legality", None, None,
-                              "illegal", f"IllegalParCol: {detail}"))
-        return False
-    rec.append(StepRecord(step_str, "ParCol legality: lo'(x) >= g'(x) for all live x",
-                          None, None, "legal"))
-    return True
+            return _record(rec, step_str, "ParCol legality", "assumed",
+                           f"{detail} (paper-justified: {assume})")
+        return _record(rec, step_str, "ParCol legality", "illegal",
+                       f"IllegalParCol: {detail}")
+    return _record(rec, step_str,
+                   "ParCol legality: lo'(x) >= g'(x) for all live x", "legal")
 
 
-def _check_declared(step: Color, names, declared) -> None:
-    for n in names:
-        if n not in declared:
-            raise SchemeError(f"{step}: set {n} is not declared")
+def _colored(st: ConcreteState, phi: dict[int, frozenset[int]]
+             ) -> ConcreteState | None:
+    """st after the partial coloring phi, or None if phi is not a legal ParCol."""
+    if any(not cols <= st.lists[a] or len(cols) > st.g[a]
+           or any(b in st.adj[a] and cols & cols2 for b, cols2 in phi.items())
+           for a, cols in phi.items()):
+        return None
+    new = st.copy()
+    for a, cols in phi.items():
+        new.g[a] -= len(cols)
+        new.lists[a] = new.lists[a] - cols
+        for w in st.live_neighbors(a):
+            if w != a:
+                new.lists[w] = new.lists[w] - cols
+    if any(len(new.lists[x]) < new.g[x] for x in st.live):
+        return None
+    return new
 
 
-def _exec_step(st: SymbolicState, step: Step, split: tuple[int, int, int] | None,
-               m: int, rec: list[StepRecord], flags: list[str]) -> bool:
-    """Execute one step in place.  `split` resolves a branch point (s, t, r),
-    already scaled by m.  Returns False when execution must halt."""
+def _three_sets(A: frozenset[int], B: frozenset[int], C: frozenset[int],
+                k: int) -> Iterator[tuple[frozenset[int], ...]]:
+    """Every (S, T, R) with S in A\\C, T in B\\C, R in A&B&C and
+    |S| + |T| + |R| = k, by (|S|, |T|) and then lexicographically."""
+    a_pool, b_pool, r_pool = sorted(A - C), sorted(B - C), sorted(A & B & C)
+    for s in range(k + 1):
+        for t in range(k + 1 - s):
+            for S in itertools.combinations(a_pool, s):
+                for T in itertools.combinations(b_pool, t):
+                    for R in itertools.combinations(r_pool, k - s - t):
+                        yield frozenset(S), frozenset(T), frozenset(R)
 
-    if isinstance(step, Delete):
-        u = step.u
+
+# -- the JSON step format --------------------------------------------------
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_names(x) -> bool:
+    return isinstance(x, list) and all(isinstance(n, str) for n in x)
+
+
+def _is_vertex(x) -> bool:
+    """An int id, or a name or id written as a JSON key."""
+    return _is_int(x) or isinstance(x, str)
+
+
+@dataclass(frozen=True)
+class _Json:
+    """A step field's JSON type: what a valid value is, its decoder (`vid`
+    maps one vertex) and encoder, and whether an empty value is left out."""
+
+    what: str
+    ok: Callable[[object], bool] = lambda x: True
+    decode: Callable = lambda x, vid: x
+    encode: Callable = lambda x: list(x) if isinstance(x, tuple) else x
+    omit_empty: bool = False
+
+
+_VERTEX = _Json("a vertex", _is_vertex, lambda x, vid: vid(x))
+_VERTICES = _Json("a list of vertices", lambda x: isinstance(x, list)
+                  and all(map(_is_vertex, x)), lambda xs, vid: tuple(map(vid, xs)))
+_UNITS = _Json("an int >= 1", lambda x: _is_int(x) and x >= 1)
+_SIZE = _Json("an int >= 0", lambda x: _is_int(x) and x >= 0)
+_CAP = _Json("an int >= 0 or null", lambda x: x is None or _SIZE.ok(x))
+_FLAG = _Json("a bool", lambda x: isinstance(x, bool))
+_TEXT = _Json("a string", lambda x: isinstance(x, str))
+_NOTE = _Json("a string", _TEXT.ok, omit_empty=True)
+_TEXTS = _Json("a list of strings", _is_names, lambda xs, vid: tuple(xs))
+_PHI = _Json("a map from vertices to lists of set names",
+             lambda x: isinstance(x, dict) and all(map(_is_names, x.values())),
+             lambda x, vid: Color.of({vid(v): n for v, n in x.items()}).phi,
+             lambda phi: {str(v): list(names) for v, names in phi})
+
+
+def _field(jtype: _Json, default=MISSING):
+    return field(default=default, metadata={"json": jtype})
+
+
+# -- steps ----------------------------------------------------------------
+
+class _Kind:
+    """What each step kind defines: `op`, its JSON name; `branch_point`, if
+    a split (s, t, r) with s + t + r = k*m resolves it; `effect`, its
+    worst-case effect on a SymbolicState, in place (False halts the
+    branch); `choices`, the ConcreteStates it leads to, in search order (a
+    tuple where there is at most one, so the concrete walk does not keep
+    the input state alive); and its fields, whose JSON types make the codec.
+    """
+
+    op: ClassVar[str]
+    branch_point: ClassVar[bool] = False
+
+    def to_json(self) -> dict:
+        d = {"op": self.op}
+        for f in fields(self):
+            jtype, x = f.metadata["json"], getattr(self, f.name)
+            if x or not jtype.omit_empty:
+                d[f.name] = jtype.encode(x)
+        return d
+
+    @classmethod
+    def from_json(cls, d: dict, vertex: Callable[[object], int]) -> Step:
+        def vid(x):
+            try:
+                return vertex(x)
+            except (KeyError, TypeError, ValueError):
+                raise SchemeError(f"{cls.op} step: {x!r} is not a vertex") from None
+
+        values = {}
+        for f in fields(cls):
+            jtype, x = f.metadata["json"], d.get(f.name, MISSING)
+            if x is MISSING:
+                if f.default is MISSING:
+                    raise SchemeError(f"{cls.op} step: missing {f.name!r}")
+            elif not jtype.ok(x):
+                raise SchemeError(f"{cls.op} step: {f.name!r} must be "
+                                  f"{jtype.what}, not {x!r}")
+            else:
+                values[f.name] = jtype.decode(x, vid)
+        return cls(**values)
+
+
+@dataclass(frozen=True)
+class Delete(_Kind):
+    op = "delete"
+    u: int = _field(_VERTEX)
+    assume: str | None = _field(_NOTE, None)
+
+    def __str__(self) -> str:
+        return f"<{self.u}>"
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        u = self.u
         if u not in st.live:
-            rec.append(StepRecord(str(step), "vertex alive", None, None,
-                                  "illegal", f"{u} already deleted"))
-            return False
-        need = st.g[u] + sum(st.g[w] for w in st.live_neighbors(u))
-        have = st.lo[u]
-        check = f"lo({u}) >= g({u}) + sum g over live neighbors"
-        if have >= need:
-            rec.append(StepRecord(str(step), check, have, need, "legal"))
-        elif step.assume:
-            rec.append(StepRecord(str(step), check, have, need, "assumed",
-                                  f"paper-justified: {step.assume}"))
-        else:
-            rec.append(StepRecord(str(step), check, have, need, "illegal",
-                                  f"IllegalDelete({u}, needed={need}, have={have})"))
+            return _record(rec, self, "vertex alive", "illegal",
+                           f"{u} already deleted")
+        need, have = st.deletion_need(u), st.lo[u]
+        if not _bound(rec, self, f"lo({u}) >= g({u}) + sum g over live neighbors",
+                      have, need, f"IllegalDelete({u}, needed={need}, have={have})"):
             return False
         st.live.discard(u)
         return True
 
-    if isinstance(step, Save):
-        u, v, k = step.u, step.v, step.k * m
+    def choices(self, st: ConcreteState) -> tuple[ConcreteState, ...]:
+        if self.u not in st.live or len(st.lists[self.u]) < st.deletion_need(self.u):
+            return ()
+        new = st.copy()
+        new.live.discard(self.u)
+        return (new,)
+
+
+@dataclass(frozen=True)
+class Save(_Kind):
+    """ParCol(u | v, k): color u with k*m colors outside L(v)."""
+
+    op = "save"
+    u: int = _field(_VERTEX)
+    v: int = _field(_VERTEX)
+    k: int = _field(_UNITS, 1)
+    assume: str | None = _field(_NOTE, None)
+
+    def __str__(self) -> str:
+        return f"<{self.u}|{self.v},{self.k}m>"
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        u, v, k = self.u, self.v, self.k * m
         if u not in st.live or v not in st.live:
-            rec.append(StepRecord(str(step), "vertices alive", None, None,
-                                  "illegal", "dead vertex in save"))
-            return False
+            return _record(rec, self, "vertices alive", "illegal",
+                           "dead vertex in save")
         if st.g[u] < k:
-            rec.append(StepRecord(str(step), f"g({u}) >= {k}", st.g[u], k,
-                                  "illegal", "demand exceeded"))
-            return False
-        have = st.lo[u] - st.hi[v]
-        check = f"lo({u}) - hi({v}) >= k"
-        if have >= k:
-            rec.append(StepRecord(str(step), check, have, k, "legal"))
-        elif step.assume:
-            rec.append(StepRecord(str(step), check, have, k, "assumed",
-                                  f"CannotAvoid({u},{v},{k}) (paper-justified: {step.assume})"))
-        else:
-            rec.append(StepRecord(str(step), check, have, k, "illegal",
-                                  f"CannotAvoid({u},{v},{k})"))
+            return _record(rec, self, f"g({u}) >= {k}", "illegal",
+                           "demand exceeded", st.g[u], k)
+        cause = f"CannotAvoid({u},{v},{k})"
+        if not _bound(rec, self, f"lo({u}) - hi({v}) >= k",
+                      st.lo[u] - st.hi[v], k, cause, cause):
             return False
         name = _fresh(st, f"save{u}v{v}")
-        st.setvars[name] = SetVar(name, k, frozenset({u}), frozenset({v}), True)
-        return _apply_color(st, {u: [name]}, rec, str(step), step.assume)
+        st.setvars[name] = SetVar(k, frozenset({u}), frozenset({v}))
+        return _apply_color(st, {u: [name]}, rec, str(self), self.assume)
 
-    if isinstance(step, PairSave):
-        u1, u2, v = step.u1, step.u2, step.v
-        k = step.k * m
+    def choices(self, st: ConcreteState) -> Iterator[ConcreteState]:
+        u, v = self.u, self.v
+        if u not in st.live or v not in st.live or st.g[u] < self.k:
+            return
+        for combo in itertools.combinations(sorted(st.lists[u] - st.lists[v]),
+                                            self.k):
+            if (new := _colored(st, {u: frozenset(combo)})) is not None:
+                yield new
+
+
+@dataclass(frozen=True)
+class PairSave(_Kind):
+    """ParCol({u1, u2} | v, k*): S u R at u1, T u R at u2, |S|+|T|+|R| = k*m."""
+
+    op = "pair_save"
+    branch_point = True
+    u1: int = _field(_VERTEX)
+    u2: int = _field(_VERTEX)
+    v: int = _field(_VERTEX)
+    k: int = _field(_UNITS, 1)
+    assume: str | None = _field(_NOTE, None)
+
+    def __post_init__(self):
+        if self.u1 == self.u2:
+            raise SchemeError(f"{self}: u1 and u2 must differ")
+
+    def __str__(self) -> str:
+        return f"<{{{self.u1},{self.u2}}}|{self.v},{self.k}m*>"
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        u1, u2, v, k = self.u1, self.u2, self.v, self.k * m
         if any(x not in st.live for x in (u1, u2, v)):
-            rec.append(StepRecord(str(step), "vertices alive", None, None,
-                                  "illegal", "dead vertex in pair save"))
-            return False
+            return _record(rec, self, "vertices alive", "illegal",
+                           "dead vertex in pair save")
         if u2 in st.adj[u1]:
-            flags.append(f"pair save {step}: u1 and u2 are adjacent")
-        have = st.lo[u1] + st.lo[u2]
-        need = st.hi[v] + k
-        check = f"lo({u1}) + lo({u2}) >= hi({v}) + k"
-        if have >= need:
-            rec.append(StepRecord(str(step), check, have, need, "legal"))
-        elif step.assume:
-            rec.append(StepRecord(str(step), check, have, need, "assumed",
-                                  f"PairBoundFails (paper-justified: {step.assume})"))
-        else:
-            rec.append(StepRecord(str(step), check, have, need, "illegal",
-                                  f"PairBoundFails(needed={need}, have={have})"))
+            flags.append(f"pair save {self}: u1 and u2 are adjacent")
+        have, need = st.lo[u1] + st.lo[u2], st.hi[v] + k
+        if not _bound(rec, self, f"lo({u1}) + lo({u2}) >= hi({v}) + k", have,
+                      need, f"PairBoundFails(needed={need}, have={have})",
+                      "PairBoundFails"):
             return False
-        s, t, r = split  # type: ignore[misc]
-        rec.append(StepRecord(f"{step} split (s,t,r)={split}", "split", None,
-                              None, "noted"))
+        s, t, r = split
+        _record(rec, f"{self} split (s,t,r)={split}", "split", "noted")
+        if r and u2 in st.adj[u1]:
+            return _record(rec, self, "R part on adjacent u1, u2", "illegal",
+                           "shared colors on an edge")
         phi: dict[int, list[str]] = {}
-        if s:
-            n1 = _fresh(st, f"S{u1}")
-            st.setvars[n1] = SetVar(n1, s, frozenset({u1}), frozenset({v}), True)
-            phi.setdefault(u1, []).append(n1)
-        if t:
-            n2 = _fresh(st, f"T{u2}")
-            st.setvars[n2] = SetVar(n2, t, frozenset({u2}), frozenset({v}), True)
-            phi.setdefault(u2, []).append(n2)
-        if r:
-            if u2 in st.adj[u1]:
-                rec.append(StepRecord(str(step), "R part on adjacent u1, u2",
-                                      None, None, "illegal",
-                                      "shared colors on an edge"))
-                return False
-            n3 = _fresh(st, f"R{u1}_{u2}")
-            st.setvars[n3] = SetVar(n3, r, frozenset({u1, u2, v}), frozenset(), True)
-            phi.setdefault(u1, []).append(n3)
-            phi.setdefault(u2, []).append(n3)
-        return _apply_color(st, phi, rec, f"{step}{split}", step.assume)
+        for size, base, owners, inside, avoids in (
+                (s, f"S{u1}", (u1,), {u1}, {v}), (t, f"T{u2}", (u2,), {u2}, {v}),
+                (r, f"R{u1}_{u2}", (u1, u2), {u1, u2, v}, ())):
+            if size:
+                name = _fresh(st, base)
+                st.setvars[name] = SetVar(size, frozenset(inside), frozenset(avoids))
+                for x in owners:
+                    phi.setdefault(x, []).append(name)
+        return _apply_color(st, phi, rec, f"{self}{split}", self.assume)
 
-    if isinstance(step, AssumeSet):
-        size = step.size * m
-        for c in step.subset_of:
-            packed = size + sum(st.setvars[s].size for s in step.disjoint_from
+    def choices(self, st: ConcreteState) -> Iterator[ConcreteState]:
+        u1, u2, v = self.u1, self.u2, self.v
+        if any(x not in st.live for x in (u1, u2, v)):
+            return
+        for S, T, R in _three_sets(st.lists[u1], st.lists[u2], st.lists[v],
+                                   self.k):
+            if (new := _colored(st, {u1: S | R, u2: T | R})) is not None:
+                yield new
+
+
+@dataclass(frozen=True)
+class Color(_Kind):
+    """Explicit ParCol: phi maps vertices to tuples of declared set names."""
+
+    op = "color"
+    phi: tuple[tuple[int, tuple[str, ...]], ...] = _field(_PHI)
+    assume: str | None = _field(_NOTE, None)
+
+    @staticmethod
+    def of(phi: dict[int, tuple[str, ...] | list[str]],
+           assume: str | None = None) -> "Color":
+        return Color(tuple(sorted((v, tuple(names)) for v, names in phi.items())),
+                     assume=assume)
+
+    def __str__(self) -> str:
+        parts = ", ".join(f"{v}:{'+'.join(names)}" for v, names in self.phi)
+        return f"<color {parts}>"
+
+    def _declared(self, names, declared) -> None:
+        if undeclared := [n for n in names if n not in declared]:
+            raise SchemeError(f"{self}: set {undeclared[0]} is not declared")
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        for _, names in self.phi:
+            self._declared(names, st.setvars)
+        phi = {v: [n for n in names if st.setvars[n].size > 0]
+               for v, names in self.phi}
+        return _apply_color(st, phi, rec, str(self), self.assume)
+
+    def choices(self, st: ConcreteState) -> tuple[ConcreteState, ...]:
+        phi = {}
+        for v, names in self.phi:
+            if v not in st.live:
+                raise SchemeError(f"{self}: vertex {v} not alive")
+            self._declared(names, st.sets)
+            phi[v] = frozenset().union(*(st.sets[nm] for nm in names))
+        new = _colored(st, phi)
+        return () if new is None else (new,)
+
+
+@dataclass(frozen=True)
+class AssumeSet(_Kind):
+    """Declare a named color set with stated size and attributes.
+
+    subset_of: vertices x with the set inside L(x); avoids: vertices y with
+    the set disjoint from L(y); avoid_sets / disjoint_from: other declared
+    sets it avoids.  Existence is certified from current bounds when
+    possible, otherwise recorded as an assumption under `tag`.
+    """
+
+    op = "assume"
+    name: str = _field(_TEXT)
+    size: int = _field(_SIZE)
+    subset_of: tuple[int, ...] = _field(_VERTICES)
+    avoids: tuple[int, ...] = _field(_VERTICES, ())
+    avoid_sets: tuple[str, ...] = _field(_TEXTS, ())
+    disjoint_from: tuple[str, ...] = _field(_TEXTS, ())
+    tag: str = _field(_TEXT, "")
+
+    def __str__(self) -> str:
+        return f"<assume {self.name} size {self.size}m>"
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        st.require(self, self.subset_of + self.avoids)
+        size = self.size * m
+        bounds = []
+        for c in self.subset_of:
+            packed = size + sum(st.setvars[s].size for s in self.disjoint_from
                                 if s in st.setvars
                                 and c in st.setvars[s].containers)
             if packed > st.hi[c]:
-                rec.append(StepRecord(str(step), f"packing inside L({c})",
-                                      packed, st.hi[c], "illegal",
-                                      "InfeasibleDeclaration"))
-                return False
-        bounds = []
-        for c in step.subset_of:
-            b = st.lo[c]
-            for y in step.avoids:
-                b -= st.hi[y]
-            for s in step.avoid_sets + step.disjoint_from:
-                if s in st.setvars:
-                    b -= st.setvars[s].size
-            bounds.append(b)
+                return _record(rec, self, f"packing inside L({c})", "illegal",
+                               "InfeasibleDeclaration", packed, st.hi[c])
+            bounds.append(st.lo[c] - sum(st.hi[y] for y in self.avoids)
+                          - sum(st.setvars[s].size for s in self.avoid_sets
+                                + self.disjoint_from if s in st.setvars))
         bound = min(bounds) if bounds else 0
-        ok = size <= bound
-        st.setvars[step.name] = SetVar(step.name, size, frozenset(step.subset_of),
-                                       frozenset(step.avoids), ok, step.tag)
-        if ok:
-            rec.append(StepRecord(str(step), "existence: size <= pool bound",
-                                  size, bound, "certified"))
-        else:
-            rec.append(StepRecord(str(step), "existence: size <= pool bound",
-                                  size, bound, "assumed",
-                                  f"paper-justified: {step.tag or 'unstated'}"))
-        return True
+        st.setvars[self.name] = SetVar(size, frozenset(self.subset_of),
+                                       frozenset(self.avoids))
+        return _certify(rec, self, "existence: size <= pool bound", size,
+                        bound, size <= bound, self.tag)
 
-    if isinstance(step, AssumeThreeSets):
-        k = step.k * m
-        x_bound = st.lo[step.a]
-        y_bound = st.lo[step.b]
-        for sname in step.minus:
-            var = st.setvars.get(sname)
-            if var is None:
-                continue
-            if step.a not in var.avoids:
+    def choices(self, st: ConcreteState) -> Iterator[ConcreteState]:
+        st.require(self, self.subset_of + self.avoids)
+        lists = [st.lists[c] for c in self.subset_of]
+        pool = frozenset(lists[0]).intersection(*lists[1:]) if lists else frozenset()
+        pool = pool.difference(*(st.lists[y] for y in self.avoids),
+                               *(st.sets.get(nm, frozenset())
+                                 for nm in self.avoid_sets + self.disjoint_from))
+        for combo in itertools.combinations(sorted(pool), self.size):
+            new = st.copy()
+            new.sets[self.name] = frozenset(combo)
+            yield new
+
+
+@dataclass(frozen=True)
+class AssumeThreeSets(_Kind):
+    """Declare a three-sets split (S, T, R) on the pools at a, b against c.
+
+    S lives in L(a) minus the `minus` sets, T in L(b) likewise, R in
+    L(a) & L(b) & L(c); sizes form a simplex s + t + r = k resolved at
+    branch corners.  `z_cap` caps the c-pool size when the argument trims
+    it; `s_avoids_c` states whether S and T avoid all of L(c) (true when
+    the c-pool is the whole list L(c)).  The JSON form lists the three
+    names as `names`.
+    """
+
+    op = "assume_three_sets"
+    branch_point = True
+    _NAMES = ("s_name", "t_name", "r_name")
+    s_name: str = _field(_TEXT)
+    t_name: str = _field(_TEXT)
+    r_name: str = _field(_TEXT)
+    a: int = _field(_VERTEX)
+    b: int = _field(_VERTEX)
+    c: int = _field(_VERTEX)
+    k: int = _field(_UNITS, 1)
+    minus: tuple[str, ...] = _field(_TEXTS, ())
+    z_cap: int | None = _field(_CAP, None)
+    s_avoids_c: bool = _field(_FLAG, True)
+    tag: str = _field(_TEXT, "")
+
+    def __str__(self) -> str:
+        return f"<assume three-sets {self.s_name},{self.t_name},{self.r_name}>"
+
+    def effect(self, st: SymbolicState, split, m: int, rec, flags) -> bool:
+        st.require(self, (self.a, self.b, self.c))
+        x_bound, y_bound, z_bound = st.lo[self.a], st.lo[self.b], st.hi[self.c]
+        for var in (st.setvars[n] for n in self.minus if n in st.setvars):
+            if self.a not in var.avoids:
                 x_bound -= var.size
-            if step.b not in var.avoids:
+            if self.b not in var.avoids:
                 y_bound -= var.size
-        z_bound = st.hi[step.c]
-        if step.z_cap is not None:
-            z_bound = min(z_bound, step.z_cap * m)
-        ok = x_bound + y_bound >= z_bound + k
-        s, t, r = split  # type: ignore[misc]
-        c_avoid = frozenset({step.c}) if step.s_avoids_c else frozenset()
-        st.setvars[step.s_name] = SetVar(step.s_name, s, frozenset({step.a}),
-                                         c_avoid, ok, step.tag)
-        st.setvars[step.t_name] = SetVar(step.t_name, t, frozenset({step.b}),
-                                         c_avoid, ok, step.tag)
-        st.setvars[step.r_name] = SetVar(step.r_name, r,
-                                         frozenset({step.a, step.b, step.c}),
-                                         frozenset(), ok, step.tag)
-        desc = "three-sets bound: |X| + |Y| >= |Z| + k"
-        if ok:
-            rec.append(StepRecord(f"{step} split {split}", desc,
-                                  x_bound + y_bound, z_bound + k, "certified"))
-        else:
-            rec.append(StepRecord(f"{step} split {split}", desc,
-                                  x_bound + y_bound, z_bound + k, "assumed",
-                                  f"paper-justified: {step.tag or 'unstated'}"))
-        return True
+        if self.z_cap is not None:
+            z_bound = min(z_bound, self.z_cap * m)
+        have, need = x_bound + y_bound, z_bound + self.k * m
+        s, t, r = split
+        c_avoid = frozenset({self.c}) if self.s_avoids_c else frozenset()
+        for name, size, inside, avoids in (
+                (self.s_name, s, {self.a}, c_avoid),
+                (self.t_name, t, {self.b}, c_avoid),
+                (self.r_name, r, {self.a, self.b, self.c}, ())):
+            st.setvars[name] = SetVar(size, frozenset(inside), frozenset(avoids))
+        return _certify(rec, f"{self} split {split}",
+                        "three-sets bound: |X| + |Y| >= |Z| + k",
+                        have, need, have >= need, self.tag)
 
-    if isinstance(step, Color):
-        for _, names in step.phi:
-            _check_declared(step, names, st.setvars)
-        phi = {v: [n for n in names if st.setvars[n].size > 0]
-               for v, names in step.phi}
-        return _apply_color(st, phi, rec, str(step), step.assume)
+    def choices(self, st: ConcreteState) -> Iterator[ConcreteState]:
+        st.require(self, (self.a, self.b, self.c))
+        A, B = st.lists[self.a], st.lists[self.b]
+        for nm in self.minus:
+            A = A - st.sets.get(nm, frozenset())
+            B = B - st.sets.get(nm, frozenset())
+        for S, T, R in _three_sets(A, B, st.lists[self.c], self.k):
+            new = st.copy()
+            new.sets.update({self.s_name: S, self.t_name: T, self.r_name: R})
+            yield new
 
-    raise SchemeError(f"unknown step {step!r}")
+    def to_json(self) -> dict:
+        d = super().to_json()
+        return {"op": self.op, "names": [d.pop(n) for n in self._NAMES], **d}
 
+    @classmethod
+    def from_json(cls, d: dict, vertex: Callable[[object], int]) -> Step:
+        names = d.get("names")
+        if not (_is_names(names) and len(names) == 3):
+            raise SchemeError(f"{cls.op} step: 'names' must be three set "
+                              f"names, not {names!r}")
+        return super().from_json({**d, **dict(zip(cls._NAMES, names))}, vertex)
+
+
+Step = Delete | Save | PairSave | Color | AssumeSet | AssumeThreeSets
+
+STEP_KINDS = {kind.op: kind for kind in (Delete, Save, PairSave, Color,
+                                         AssumeSet, AssumeThreeSets)}
+
+
+# -- symbolic execution ----------------------------------------------------
 
 def _run_combo(state: SymbolicState, steps: list[Step],
                splits: tuple[tuple[int, int, int], ...], label: tuple[str, ...],
@@ -502,9 +691,8 @@ def _run_combo(state: SymbolicState, steps: list[Step],
     trace = BranchTrace(corners=label)
     split_iter = iter(splits)
     for step in steps:
-        split = next(split_iter) if is_branch_point(step) else None
-        if not _exec_step(st, step, split, m, trace.records, flags):
-            trace.halted = True
+        split = next(split_iter) if step.branch_point else None
+        if not step.effect(st, split, m, trace.records, flags):
             break
     trace.all_deleted = not st.live
     return trace
@@ -513,7 +701,7 @@ def _run_combo(state: SymbolicState, steps: list[Step],
 # split spaces: the (split, label) pairs that resolve one branch point of size k
 
 def _corners(k: int) -> list[tuple[tuple[int, int, int], str]]:
-    return list(zip([(k, 0, 0), (0, k, 0), (0, 0, k)], CORNER_NAMES))
+    return list(zip([(k, 0, 0), (0, k, 0), (0, 0, k)], "STR"))
 
 
 def _all_splits(k: int) -> list[tuple[tuple[int, int, int], str]]:
@@ -525,7 +713,7 @@ def _run_space(state: SymbolicState, steps: list[Step], m: int,
                space: Callable[[int], list]) -> SchemeTrace:
     """One branch per choice of a (split, label) pair at each branch point."""
     flags: list[str] = []
-    spaces = [space(s.k * m) for s in steps if is_branch_point(s)]
+    spaces = [space(s.k * m) for s in steps if s.branch_point]
     branches = []
     for combo in itertools.product(*spaces):
         splits = tuple(sp for sp, _ in combo)
@@ -559,9 +747,7 @@ def three_sets_pick(A: frozenset[int], B: frozenset[int], C: frozenset[int],
     order.  Feasible whenever |A\\C| + |B\\C| + |A&B&C| >= m; in particular
     whenever |A| + |B| >= |C| + m.
     """
-    a_pool = sorted(A - C)
-    b_pool = sorted(B - C)
-    r_pool = sorted(A & B & C)
+    a_pool, b_pool, r_pool = sorted(A - C), sorted(B - C), sorted(A & B & C)
     s = a_pool[:m]
     t = b_pool[:max(0, m - len(s))]
     r = r_pool[:max(0, m - len(s) - len(t))]
@@ -579,219 +765,46 @@ def three_sets_feasible(A: frozenset[int], B: frozenset[int], C: frozenset[int],
 
 # -- concrete execution ------------------------------------------------------
 
-@dataclass
-class ConcreteState:
-    adj: dict[int, frozenset[int]]
-    live: set[int]
-    lists: dict[int, frozenset[int]]
-    g: dict[int, int]
-    sets: dict[str, frozenset[int]] = field(default_factory=dict)
-
-    @staticmethod
-    def from_assignment(G: PlaneGraph, lists: dict[int, frozenset[int]],
-                        demand: dict[int, int]) -> "ConcreteState":
-        verts = set(lists)
-        adj = {v: G.neighbors(v) & verts for v in verts}
-        return ConcreteState(adj=adj, live=set(verts), lists=dict(lists),
-                             g=dict(demand))
-
-    def copy(self) -> "ConcreteState":
-        return ConcreteState(self.adj, set(self.live), dict(self.lists),
-                             dict(self.g), dict(self.sets))
-
-    def live_neighbors(self, v: int) -> list[int]:
-        return [w for w in sorted(self.adj[v]) if w in self.live]
-
-
-def _concrete_parcol(st: ConcreteState, phi: dict[int, frozenset[int]]) -> bool:
-    for a, cols in phi.items():
-        if not cols <= st.lists[a] or len(cols) > st.g[a]:
-            return False
-    for a, cols in phi.items():
-        for b, cols2 in phi.items():
-            if b in st.adj[a] and cols & cols2:
-                return False
-    new_lists = dict(st.lists)
-    new_g = dict(st.g)
-    for a, cols in phi.items():
-        new_g[a] -= len(cols)
-        new_lists[a] = new_lists[a] - cols
-        for w in st.live_neighbors(a):
-            if w != a:
-                new_lists[w] = new_lists[w] - cols
-    if any(len(new_lists[x]) < new_g[x] for x in st.live):
-        return False
-    st.lists, st.g = new_lists, new_g
-    return True
-
-
 def run_scheme_concrete(state: ConcreteState, steps: list[Step],
                         node_cap: int = 200_000) -> ConcreteState | None:
     """Execute a scheme on a concrete assignment, backtracking over all set
     choices.  Returns the final state on success, None if no choices work.
     Steps with assume tags still must pass (concrete runs carry no
     assumptions); use this to probe symbolic verdicts against reality.
+
+    A depth-first walk on an explicit stack, where stack[i] yields the
+    states reached by steps[:i].  Each state attempted is one node; past
+    `node_cap` nodes the walk raises NodeCapReached.
     """
     nodes = 0
-
-    def attempt(st: ConcreteState, i: int) -> ConcreteState | None:
-        nonlocal nodes
+    stack: list[Iterator[ConcreteState]] = [iter((state.copy(),))]
+    while stack:
+        st = next(stack[-1], None)
+        if st is None:
+            stack.pop()
+            continue
         nodes += 1
         if nodes > node_cap:
-            raise SchemeError(f"concrete search exceeded {node_cap} nodes")
-        if i == len(steps):
+            raise NodeCapReached(f"concrete search exceeded {node_cap} nodes")
+        if len(stack) > len(steps):
             return st
-        step = steps[i]
-        if isinstance(step, Delete):
-            u = step.u
-            if u not in st.live:
-                return None
-            need = st.g[u] + sum(st.g[w] for w in st.live_neighbors(u))
-            if len(st.lists[u]) < need:
-                return None
-            new = st.copy()
-            new.live.discard(u)
-            return attempt(new, i + 1)
-        if isinstance(step, Save):
-            u, v, k = step.u, step.v, step.k
-            if u not in st.live or v not in st.live or st.g[u] < k:
-                return None
-            pool = sorted(st.lists[u] - st.lists[v])
-            for combo in itertools.combinations(pool, k):
-                new = st.copy()
-                if _concrete_parcol(new, {u: frozenset(combo)}):
-                    result = attempt(new, i + 1)
-                    if result is not None:
-                        return result
-            return None
-        if isinstance(step, PairSave):
-            u1, u2, v, k = step.u1, step.u2, step.v, step.k
-            if any(x not in st.live for x in (u1, u2, v)):
-                return None
-            A, B, C = st.lists[u1], st.lists[u2], st.lists[v]
-            for s in range(k + 1):
-                for t in range(k + 1 - s):
-                    r = k - s - t
-                    for S in itertools.combinations(sorted(A - C), s):
-                        for T in itertools.combinations(sorted(B - C), t):
-                            for R in itertools.combinations(sorted(A & B & C), r):
-                                new = st.copy()
-                                phi = {u1: frozenset(S) | frozenset(R),
-                                       u2: frozenset(T) | frozenset(R)}
-                                if len(phi[u1]) != s + r or len(phi[u2]) != t + r:
-                                    continue
-                                if _concrete_parcol(new, phi):
-                                    result = attempt(new, i + 1)
-                                    if result is not None:
-                                        return result
-            return None
-        if isinstance(step, AssumeSet):
-            pool = None
-            for c in step.subset_of:
-                pool = st.lists[c] if pool is None else pool & st.lists[c]
-            pool = pool or frozenset()
-            for y in step.avoids:
-                pool -= st.lists[y]
-            for nm in step.avoid_sets + step.disjoint_from:
-                pool -= st.sets.get(nm, frozenset())
-            for combo in itertools.combinations(sorted(pool), step.size):
-                new = st.copy()
-                new.sets[step.name] = frozenset(combo)
-                result = attempt(new, i + 1)
-                if result is not None:
-                    return result
-            return None
-        if isinstance(step, AssumeThreeSets):
-            A = st.lists[step.a]
-            B = st.lists[step.b]
-            Z = st.lists[step.c]
-            for nm in step.minus:
-                A = A - st.sets.get(nm, frozenset())
-                B = B - st.sets.get(nm, frozenset())
-            k = step.k
-            for s in range(k + 1):
-                for t in range(k + 1 - s):
-                    r = k - s - t
-                    for S in itertools.combinations(sorted(A - Z), s):
-                        for T in itertools.combinations(sorted(B - Z), t):
-                            for R in itertools.combinations(sorted(A & B & Z), r):
-                                new = st.copy()
-                                new.sets[step.s_name] = frozenset(S)
-                                new.sets[step.t_name] = frozenset(T)
-                                new.sets[step.r_name] = frozenset(R)
-                                result = attempt(new, i + 1)
-                                if result is not None:
-                                    return result
-            return None
-        if isinstance(step, Color):
-            phi = {}
-            for v, names in step.phi:
-                if v not in st.live:
-                    raise SchemeError(f"{step}: vertex {v} not alive")
-                _check_declared(step, names, st.sets)
-                cols = frozenset()
-                for nm in names:
-                    cols |= st.sets[nm]
-                phi[v] = cols
-            new = st.copy()
-            if _concrete_parcol(new, phi):
-                return attempt(new, i + 1)
-            return None
-        raise SchemeError(f"unknown step {step!r}")
-
-    return attempt(state.copy(), 0)
+        stack.append(iter(steps[len(stack) - 1].choices(st)))
+    return None
 
 
 # -- serialization -----------------------------------------------------------
 
 def step_to_json(step: Step) -> dict:
-    if isinstance(step, Delete):
-        d = {"op": "delete", "u": step.u}
-    elif isinstance(step, Save):
-        d = {"op": "save", "u": step.u, "v": step.v, "k": step.k}
-    elif isinstance(step, PairSave):
-        d = {"op": "pair_save", "u1": step.u1, "u2": step.u2, "v": step.v,
-             "k": step.k}
-    elif isinstance(step, Color):
-        d = {"op": "color", "phi": {str(v): list(names) for v, names in step.phi}}
-    elif isinstance(step, AssumeSet):
-        d = {"op": "assume", "name": step.name, "size": step.size,
-             "subset_of": list(step.subset_of), "avoids": list(step.avoids),
-             "avoid_sets": list(step.avoid_sets),
-             "disjoint_from": list(step.disjoint_from), "tag": step.tag}
-    elif isinstance(step, AssumeThreeSets):
-        d = {"op": "assume_three_sets", "names": [step.s_name, step.t_name,
-                                                  step.r_name],
-             "a": step.a, "b": step.b, "c": step.c, "k": step.k,
-             "minus": list(step.minus), "z_cap": step.z_cap,
-             "s_avoids_c": step.s_avoids_c, "tag": step.tag}
-    else:
-        raise SchemeError(f"unknown step {step!r}")
-    if getattr(step, "assume", None):
-        d["assume"] = step.assume
-    return d
+    return step.to_json()
 
 
-def step_from_json(d: dict) -> Step:
-    op = d["op"]
-    assume = d.get("assume")
-    if op == "delete":
-        return Delete(d["u"], assume=assume)
-    if op == "save":
-        return Save(d["u"], d["v"], d.get("k", 1), assume=assume)
-    if op == "pair_save":
-        return PairSave(d["u1"], d["u2"], d["v"], d.get("k", 1), assume=assume)
-    if op == "color":
-        return Color.of({int(v): tuple(names) for v, names in d["phi"].items()},
-                        assume=assume)
-    if op == "assume":
-        return AssumeSet(d["name"], d["size"], tuple(d["subset_of"]),
-                         tuple(d.get("avoids", ())),
-                         tuple(d.get("avoid_sets", ())),
-                         tuple(d.get("disjoint_from", ())), d.get("tag", ""))
-    if op == "assume_three_sets":
-        s, t, r = d["names"]
-        return AssumeThreeSets(s, t, r, d["a"], d["b"], d["c"], d.get("k", 1),
-                               tuple(d.get("minus", ())), d.get("z_cap"),
-                               d.get("s_avoids_c", True), d.get("tag", ""))
-    raise SchemeError(f"unknown op {op!r}")
+def step_from_json(d: dict, vertex: Callable[[object], int] = int) -> Step:
+    """Decode one step of the JSON step format, validating every field.
+
+    `vertex` maps a vertex field to a vertex id: `int` for config files;
+    `claims` passes its map from the paper's vertex names.
+    """
+    op = d.get("op") if isinstance(d, dict) else None
+    if not isinstance(op, str) or op not in STEP_KINDS:
+        raise SchemeError(f"unknown step {d!r}")
+    return STEP_KINDS[op].from_json(d, vertex)

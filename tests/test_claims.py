@@ -1,6 +1,6 @@
 import pytest
 
-from chooselab.claims import (UnknownClaim, _with_ids, build_claim,
+from chooselab.claims import (UnknownClaim, build_claim,
                               claim_ids, concrete_cross_check, golden_catalog,
                               initial_state, list_claims, verify_all,
                               verify_claim)
@@ -81,15 +81,14 @@ def test_golden_profiles_match_computed():
 
 
 def test_catalog_steps_roundtrip():
-    """Every stored step, with host ids for vertex names, is exactly what
-    the step codec writes back: no missing, extra or misspelled field."""
+    """Every stored step, decoded with its vertex names kept as they are,
+    is exactly what the step codec writes back: no missing, extra or
+    misspelled field."""
     steps = 0
     for cid, entry in golden_catalog().items():
         for vname, var in entry["variants"].items():
-            ids = {lab: i for i, lab in enumerate(var["degrees"])}
             for d in var["scheme"] + var.get("literal", []):
-                d = _with_ids(d, ids)
-                assert step_to_json(step_from_json(d)) == d, (cid, vname, d)
+                assert step_to_json(step_from_json(d, str)) == d, (cid, vname, d)
                 steps += 1
     assert steps == 395
 
@@ -292,12 +291,24 @@ def test_assumed_steps_are_pinned():
 
 def test_concrete_cross_check_samples():
     """Sampled concrete replays corroborate the symbolic verdicts on the
-    non-minimality claims."""
+    non-minimality claims: no sample fails and none stops at the node cap."""
     for cid in ("star", "cycle-4443", "path-3443443", "5-on-5434-no-42",
                 "6-two-6334", "cycle-k33-4"):
         for name in _variants(cid):
             bv = build_claim(cid, name)
-            assert concrete_cross_check(bv, samples=8) == [], (cid, name)
+            failed, capped = concrete_cross_check(bv, samples=8)
+            assert failed == [] and capped == [], (cid, name, failed, capped)
+
+
+def test_concrete_cross_check_reports_capped_apart(monkeypatch):
+    """A node-cap stop is reported as capped, not as a failed sample."""
+    from chooselab import claims, reduction
+
+    def capped_run(state, steps):
+        return reduction.run_scheme_concrete(state, steps, node_cap=1)
+    monkeypatch.setattr(claims, "run_scheme_concrete", capped_run)
+    assert concrete_cross_check(build_claim("star", "k=3"), samples=3) \
+        == ([], [0, 1, 2])
 
 
 # -- the documented discrepancy -----------------------------------------------

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chooselab.cli import main
-from chooselab.plane import cube_graph, cycle_graph
+from chooselab.plane import cube_graph, cycle_graph, path_graph
 
 
 @pytest.fixture
@@ -235,6 +236,41 @@ def test_schemes_run_concrete_color_vertex_without_list(tmp_path, capsys):
     _assert_input_error(_run_config(tmp_path, cfg), capsys)
 
 
+_DECLARE_AB = [{"op": "assume", "name": n, "size": 1, "subset_of": [0]}
+               for n in "AB"]
+
+
+@pytest.mark.parametrize("cfg", [SYMBOLIC_CFG, CONCRETE_CFG],
+                         ids=["symbolic", "concrete"])
+@pytest.mark.parametrize("steps", [
+    [{"op": "delete", "u": [1]}],
+    [{"op": "save", "u": 0, "v": 1, "k": "2"}],
+    [{"op": "assume", "name": "A", "size": "1", "subset_of": [0]}],
+    [{"op": "assume_three_sets", "names": ["S", "T", "R"], "a": 0, "b": 1,
+      "c": 1, "z_cap": "1"}],
+    [{"op": "save", "u": 0, "v": 1, "k": -1}],
+    _DECLARE_AB + [{"op": "color", "phi": {"0": "AB"}}],
+    [{"op": "assume", "name": "A", "size": 1, "subset_of": [5]}],
+], ids=["vertex-list", "k-string", "size-string", "z_cap-string",
+        "k-negative", "phi-string", "vertex-not-in-config"])
+def test_schemes_run_malformed_step(tmp_path, capsys, cfg, steps):
+    cfg = dict(cfg, steps=steps + cfg["steps"])
+    _assert_input_error(_run_config(tmp_path, cfg), capsys)
+
+
+def test_schemes_run_concrete_long_scheme(tmp_path, capsys):
+    """1,500 deletes on a path: the concrete walk takes no frame per step."""
+    G = path_graph(1500)
+    cfg = {"graph": json.loads(G.to_json()), "mode": "concrete",
+           "lists": {str(v): [1, 2, 3] for v in G.vertices},
+           "demand": {str(v): 1 for v in G.vertices},
+           "steps": [{"op": "delete", "u": v} for v in G.vertices]}
+    p = tmp_path / "scheme.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["schemes", "run", "--config", str(p), "--report", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["completed"] is True
+
+
 @pytest.mark.parametrize("a, b", [("3", "5"), ("3", "0")])
 def test_colorable_bad_a_b(capsys, c5_file, a, b):
     _assert_input_error(main(["check-choosability", "--graph", c5_file,
@@ -311,4 +347,76 @@ def test_check_choosability_fuzz(tmp_path_factory, n, edge_bits, colorable,
         except SystemExit as exc:       # argparse's usage errors
             rc = exc.code
     assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+
+
+# every kind of step, on the path 0 - 1 - 2
+_FUZZ_STEPS = [
+    {"op": "assume", "name": "A", "size": 1, "subset_of": [0], "avoids": [1],
+     "avoid_sets": [], "disjoint_from": [], "tag": "t"},
+    {"op": "color", "phi": {"0": ["A"]}},
+    {"op": "save", "u": 2, "v": 1, "k": 1},
+    {"op": "assume_three_sets", "names": ["S", "T", "R"], "a": 0, "b": 2,
+     "c": 1, "k": 1, "minus": ["A"], "z_cap": None, "s_avoids_c": True,
+     "tag": "t"},
+    {"op": "pair_save", "u1": 0, "u2": 2, "v": 1, "k": 1, "assume": "x"},
+    {"op": "delete", "u": 1}, {"op": "delete", "u": 0},
+    {"op": "delete", "u": 2},
+]
+_FUZZ_CFGS = [
+    {"graph": {"edges": [[0, 1], [1, 2]]}, "mode": "symbolic",
+     "profile": {"0": [6, 2], "1": [4, 2], "2": [6, 2]},
+     "steps": _FUZZ_STEPS},
+    {"graph": {"edges": [[0, 1], [1, 2]]}, "mode": "concrete",
+     "lists": {"0": [1, 2, 3, 4, 5, 6], "1": [1, 2, 3, 4],
+               "2": [3, 4, 5, 6, 7, 8]},
+     "demand": {"0": 2, "1": 2, "2": 2}, "steps": _FUZZ_STEPS},
+]
+
+
+def _paths(x, path=()):
+    """Every key path into a JSON value, the root first."""
+    yield path
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for k, y in items:
+        yield from _paths(y, (*path, k))
+
+
+def _at(x, path):
+    for k in path:
+        x = x[k]
+    return x
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_schemes_run_fuzz(tmp_path_factory, data):
+    """Drop a key, give a field a value of the wrong type, or make an int
+    negative, anywhere in a valid config: exit 0, 1 or 2, no traceback.
+    The configs as they stand complete (exit 0)."""
+    cfg = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_CFGS)))
+    how = data.draw(st.sampled_from(["keep", "drop", "retype", "negate"]))
+    if how != "keep":
+        paths = [p for p in _paths(cfg) if p
+                 and (how != "negate" or _is_int(_at(cfg, p)))]
+        *head, last = data.draw(st.sampled_from(paths))
+        parent = _at(cfg, head)
+        if how == "drop":
+            del parent[last]
+        elif how == "negate":
+            parent[last] = -parent[last] or -1
+        else:
+            parent[last] = data.draw(st.sampled_from(
+                [None, True, 1.5, "x", "1", [], [1], {}, {"0": 1}]))
+    p = tmp_path_factory.mktemp("fuzz") / "scheme.json"
+    p.write_text(json.dumps(cfg))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["schemes", "run", "--config", str(p)])
+    assert rc in ((0,) if how == "keep" else (0, 1, 2)), (cfg, rc)
     assert "Traceback" not in err.getvalue()

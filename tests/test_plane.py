@@ -54,12 +54,33 @@ def test_trace_faces_requires_embedding():
         trace_faces(PlaneGraph(edges=[(0, 1)]))
 
 
+def _reference_faces(G):
+    """The face walk as first written: restart from min(darts) per face."""
+    darts = {(u, v) for u in G.vertices for v in G.rotation(u)}
+    faces = []
+    while darts:
+        start = min(darts)
+        walk = []
+        dart = start
+        while True:
+            walk.append(dart)
+            darts.discard(dart)
+            u, v = dart
+            dart = (v, G.succ(v, u))
+            if dart == start:
+                break
+        faces.append(walk)
+    return sorted(faces, key=min)
+
+
 def test_dart_partition():
-    for G in (cube_graph(), dodecahedron_graph(), grid_patch(2, 3)):
+    for G in (cube_graph(), dodecahedron_graph(), grid_patch(2, 3),
+              grid_patch(9, 7)):
         darts = {(u, v) for u in G.vertices for v in G.rotation(u)}
         covered = [d for f in G.faces() for d in f.boundary]
         assert len(covered) == len(darts)
         assert set(covered) == darts
+        assert [list(f.boundary) for f in trace_faces(G)] == _reference_faces(G)
 
 
 def test_double_counting():
