@@ -117,10 +117,12 @@ def build_claim(claim_id: str, variant: str | int = 0) -> BuiltVariant:
     )
 
 
-def _fg(bv: BuiltVariant) -> dict[int, tuple[int, int]]:
-    """(f, g) in units of m per vertex: the variant's state, else its profile."""
+def _fg(bv: BuiltVariant, pairs: dict[int, tuple[int, int]] | None = None
+        ) -> dict[int, tuple[int, int]]:
+    """(f, g) in units of m per vertex: the variant's state, else its profile
+    (`pairs`, when the caller has already computed it)."""
     if bv.state_override is None:
-        return profile(bv.graph, set(bv.h)).pairs()
+        return pairs if pairs is not None else profile(bv.graph, set(bv.h)).pairs()
     dem = bv.state_override["demand"]
     return {bv.labels[lab]: (size, dem if isinstance(dem, int) else dem[lab])
             for lab, size in bv.state_override["lists"].items()}
@@ -214,16 +216,16 @@ def verify_variant(bv: BuiltVariant, m: int = 1) -> VariantReport:
     nice, reason = is_nice(bv.graph, set(bv.h))
     profile_ok: bool | None = None
     diffs: list[str] = []
+    got = None
     if bv.golden_profile is not None:
-        p = profile(bv.graph, set(bv.h))
-        got = p.pairs()
+        got = profile(bv.graph, set(bv.h)).pairs()
         profile_ok = True
         for lab, want in bv.golden_profile.items():
             have = got.get(bv.labels[lab])
             if have != tuple(want):
                 profile_ok = False
                 diffs.append(f"{lab}: profile {have}, printed {tuple(want)}")
-    state = initial_state(bv, m)
+    state = SymbolicState.from_profile(bv.graph, _fg(bv, got), m)
     trace = run_scheme(state, bv.scheme, m)
     literal_trace = run_scheme(state, bv.literal, m) if bv.literal else None
     return VariantReport(

@@ -142,17 +142,19 @@ def cmd_discharge(args) -> int:
     except (OSError, GraphError, json.JSONDecodeError, NotEmbedded) as exc:
         print(f"bad graph input: {exc}", file=sys.stderr)
         return 2
-    text_lines = [f"{r['element']:>6}  initial {discharging.twelfths_str(r['initial']):>6}"
-                  f"  in {discharging.twelfths_str(r['in']):>6}"
-                  f"  out {discharging.twelfths_str(r['out']):>6}"
-                  f"  final {discharging.twelfths_str(r['final']):>6}"
-                  + ("   <0" if r["final"] < 0 else "")
-                  for r in ledger.rows]
-    text_lines.append(f"total: {discharging.twelfths_str(ledger.total_final)} "
-                      f"(conserved: {ledger.conserved})")
-    for gap in ledger.gaps:
-        text_lines.append(f"note: {gap}")
-    _emit(ledger.as_dict(), args.report, "\n".join(text_lines))
+    if args.report == "json":
+        _emit(ledger.as_dict(), "json")
+    else:
+        tw = discharging.twelfths_str
+        lines = [f"{r['element']:>6}  initial {tw(r['initial']):>6}"
+                 f"  in {tw(r['in']):>6}  out {tw(r['out']):>6}"
+                 f"  final {tw(r['final']):>6}"
+                 + ("   <0" if r["final"] < 0 else "")
+                 for r in ledger.rows]
+        lines.append(f"total: {tw(ledger.total_final)} "
+                     f"(conserved: {ledger.conserved})")
+        lines.extend(f"note: {gap}" for gap in ledger.gaps)
+        print("\n".join(lines))
     return 0 if ledger.conserved else 1
 
 

@@ -8,14 +8,18 @@ R4 is the 6+-vertex flat rate; R5 keys a 5-vertex's rate to the degree-class
 signature of the face read from the sender, matched against the family
 tables in either orientation, first family wins.
 
+The family and face-type patterns are written as ClassSpec strings and
+compiled once, at import, into the sets of classes each component admits,
+so matching a pattern is four set lookups per orientation.
+
 All amounts are integer twelfths; nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .plane import Face, PlaneGraph, degree_class
 
@@ -37,7 +41,9 @@ RULE_AMOUNTS = (SIXTH, THIRD, HALF, SEVEN_TWELFTHS, TWO_THIRDS, THREE_QUARTERS,
 
 
 def twelfths_str(x: int) -> str:
-    return str(Fraction(x, 12))
+    """x/12 in lowest terms, as str(Fraction(x, 12)) prints it."""
+    g = math.gcd(x, 12)
+    return str(x // g) if g == 12 else f"{x // g}/{12 // g}"
 
 
 # -- degree classes and lambda patterns --------------------------------------
@@ -47,6 +53,11 @@ Klass = tuple[int, int | None]
 
 ALL_CLASSES: tuple[Klass, ...] = ((3, 0), (3, 1), (4, 0), (4, 1), (4, 2),
                                   (5, 0), (5, 1), (5, 2), (5, 3), (6, None))
+
+# every class klass_of can return, including the ones real graphs have outside
+# ALL_CLASSES (degree 2 or less, t > d - 2): the compiled patterns' universe
+CLASS_DOMAIN: tuple[Klass, ...] = tuple(
+    (d, t) for d in range(6) for t in range(d + 1)) + ((6, None),)
 
 
 def klass_of(G: PlaneGraph, v: int) -> Klass:
@@ -102,6 +113,15 @@ def pattern(s: str) -> tuple[ClassSpec, ClassSpec, ClassSpec, ClassSpec]:
     return tuple(spec(p.strip()) for p in s.split(","))  # type: ignore
 
 
+CompiledPattern = tuple[frozenset, frozenset, frozenset, frozenset]
+
+
+def compile_pattern(pat) -> CompiledPattern:
+    """Each component as the set of CLASS_DOMAIN classes it matches."""
+    return tuple(frozenset(c for c in CLASS_DOMAIN if sp.matches(c))
+                 for sp in pat)  # type: ignore[return-value]
+
+
 LambdaPattern = tuple[Klass, Klass, Klass, Klass]
 
 FAMILIES: tuple[tuple[str, int, tuple], ...] = (
@@ -138,28 +158,33 @@ CATCH_ALL = ("1/2", HALF)
 FAMILY_AMOUNT = {tag: amt for tag, amt, _ in FAMILIES} | {CATCH_ALL[0]:
                                                           CATCH_ALL[1]}
 
+_FAMILY_TABLE = tuple((tag, amt, tuple(compile_pattern(p) for p in pats))
+                      for tag, amt, pats in FAMILIES)
 
-def _pattern_matches(pat, lam: LambdaPattern) -> bool:
-    if not pat[0].matches(lam[0]):
-        return False
-    fwd = all(pat[i].matches(lam[i]) for i in (1, 2, 3))
-    rev = (pat[1].matches(lam[3]) and pat[2].matches(lam[2])
-           and pat[3].matches(lam[1]))
-    return fwd or rev
+
+def pattern_matches(pat: CompiledPattern, lam: LambdaPattern) -> bool:
+    """A compiled pattern against lam, forwards or reversed after the sender."""
+    s0, s1, s2, s3 = pat
+    u, a, w, b = lam
+    return u in s0 and w in s2 and (a in s1 and b in s3 or b in s1 and a in s3)
+
+
+def _any_matches(pats, lam: LambdaPattern) -> bool:
+    for p in pats:
+        if pattern_matches(p, lam):
+            return True
+    return False
 
 
 def matching_families(lam: LambdaPattern) -> list[str]:
-    out = []
-    for tag, _amt, pats in FAMILIES:
-        if any(_pattern_matches(p, lam) for p in pats):
-            out.append(tag)
-    return out
+    return [tag for tag, _amt, pats in _FAMILY_TABLE
+            if _any_matches(pats, lam)]
 
 
 def classify_family(lam: LambdaPattern) -> tuple[str, int]:
     """First family in printed order matching either orientation; else 1/2."""
-    for tag, amt, pats in FAMILIES:
-        if any(_pattern_matches(p, lam) for p in pats):
+    for tag, amt, pats in _FAMILY_TABLE:
+        if _any_matches(pats, lam):
             return tag, amt
     return CATCH_ALL
 
@@ -168,6 +193,7 @@ def classify_family(lam: LambdaPattern) -> tuple[str, int]:
 
 _TYPE3_PATTERNS = (pattern("5+,3_0,4_1,4_1"), pattern("5+,3_0,4_2,4_0"),
                    pattern("5+,3_1,4_1,4_0"), pattern("5+,4_2,3_0,4_1"))
+_TYPE3_TABLE = tuple(compile_pattern(p) for p in _TYPE3_PATTERNS)
 
 
 def face_type_of_classes(corners: tuple[Klass, Klass, Klass, Klass]) -> int | None:
@@ -183,8 +209,7 @@ def face_type_of_classes(corners: tuple[Klass, Klass, Klass, Klass]) -> int | No
         return 1
     if (a[0], w[0], b[0]) == (4, 3, 4) and w == (3, 1):
         return 2
-    lam = (u, a, w, b)
-    if any(_pattern_matches(p, lam) for p in _TYPE3_PATTERNS):
+    if _any_matches(_TYPE3_TABLE, (u, a, w, b)):
         return 3
     return None
 
@@ -241,27 +266,27 @@ def initial_charges(G: PlaneGraph) -> dict[tuple[str, int], int]:
     return charges
 
 
-def _r2_amount(G: PlaneGraph, u: int, f: Face) -> tuple[int, str] | None:
-    threes = sorted(w for w in G.neighbors(u) if G.degree(w) == 3)
-    on_face = set(f.vertices)
+def _r2_amount(G: PlaneGraph, deg: dict[int, int], u: int,
+               corners: tuple[int, ...]) -> tuple[int, str] | None:
+    threes = sorted(w for w in G.neighbors(u) if deg[w] == 3)
     if len(threes) == 0:
         return HALF, "R2(1)"
     if len(threes) == 1:
         v = threes[0]
-        v_threes = sorted(x for x in G.neighbors(v) if G.degree(x) == 3)
+        v_threes = sorted(x for x in G.neighbors(v) if deg[x] == 3)
         if not v_threes:
-            if v in on_face:
+            if v in corners:
                 return HALF, "R2(2)"
             return THIRD, "R2(2)"
         w = v_threes[0]
-        if v in on_face and w in on_face:
+        if v in corners and w in corners:
             return HALF, "R2(3)"
         return THIRD, "R2(3)"
     if len(threes) == 2:
         v, w = threes
         from .plane import consecutive
         if consecutive(G, u, v, w):
-            inside = (v in on_face) + (w in on_face)
+            inside = (v in corners) + (w in corners)
             if inside == 2:
                 return HALF, "R2(5)"
             if inside == 1:
@@ -291,34 +316,39 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
     records: list[TransferRecord] = []
     gaps: list[str] = []
     notes: list[str] = []
+    deg = {v: G.degree(v) for v in G.vertices}
+    klass = {v: (6, None) if d >= 6 else
+             (d, sum(1 for w in G.neighbors(v) if deg[w] == 3))
+             for v, d in deg.items()}
 
     # R1, receiver driven
-    for u in G.vertices:
-        if G.degree(u) != 3:
+    for u, d in deg.items():
+        if d != 3:
             continue
-        threes = [w for w in G.neighbors(u) if G.degree(w) == 3]
-        if len(threes) == 0:
+        t = klass[u][1]
+        if t == 0:
             for w in sorted(G.neighbors(u)):
                 records.append(TransferRecord(w, "v", u, THIRD, "R1"))
-        elif len(threes) == 1:
+        elif t == 1:
             for w in sorted(G.neighbors(u)):
-                if G.degree(w) >= 4:
+                if deg[w] >= 4:
                     records.append(TransferRecord(w, "v", u, HALF, "R1"))
         else:
-            gaps.append(f"R1: 3-vertex {u} has {len(threes)} 3-neighbors")
+            gaps.append(f"R1: 3-vertex {u} has {t} 3-neighbors")
 
     # R2-R5, sender driven over incident 4-faces
     for fi, f in enumerate(faces):
         if f.degree != 4:
             continue
-        ftype = face_type(G, f)
         corners = f.vertices
+        classes = tuple(klass[v] for v in corners)
+        ftype = face_type_of_classes(classes)
         for u in corners:
-            d = G.degree(u)
+            d = deg[u]
             if d == 3:
                 continue
             if d == 4:
-                got = _r2_amount(G, u, f)
+                got = _r2_amount(G, deg, u, corners)
                 if got is None:
                     gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
                     continue
@@ -335,8 +365,9 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
             elif d >= 6:
                 records.append(TransferRecord(u, "f", fi, ONE, "R4"))
             else:
-                lam = lambda_pattern(G, u, f)
-                tag, amt = classify_family(lam)
+                # the lambda pattern: the corner classes read from u
+                i = corners.index(u)
+                tag, amt = classify_family(classes[i:] + classes[:i])
                 records.append(TransferRecord(u, "f", fi, amt, f"R5[F{tag}]"))
     records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
     return RuleOutput(transfers=records, gaps=gaps, notes=notes)
@@ -706,8 +737,9 @@ EXCLUSIONS = (
 )
 
 
-def _min_corner_transfer(corners, i: int) -> int:
-    """Worst-case inflow from corner i, minimized over free placement bits."""
+def _min_corner_transfer(corners, i: int, ftype: int | None) -> int:
+    """Worst-case inflow from corner i, minimized over free placement bits;
+    ftype is face_type_of_classes(corners)."""
     u = corners[i]
     d, t = u
     if d == 3:
@@ -730,7 +762,6 @@ def _min_corner_transfer(corners, i: int) -> int:
         if n_on == 1:
             return THIRD                   # R2(4) or R2(5) with one inside
         return SIXTH                       # both off: consecutive possible
-    ftype = face_type_of_classes(corners)
     if ftype is not None:
         return (10 - ftype) * 2
     if d >= 6:
@@ -756,7 +787,8 @@ def sweep_4face(exclusions=EXCLUSIONS) -> tuple[list[Finding], int, int]:
             excluded += 1
             continue
         surviving += 1
-        total = sum(_min_corner_transfer(corners, i) for i in range(4))
+        ftype = face_type_of_classes(corners)
+        total = sum(_min_corner_transfer(corners, i, ftype) for i in range(4))
         if total < 2 * ONE:
             findings.append(Finding(
                 "four-face",

@@ -18,7 +18,8 @@ the sum exactly and re-derives every anchored amount from the rule tables:
 from __future__ import annotations
 
 from .discharging import (FAMILIES, CATCH_ALL, Finding, classify_family,
-                          pattern as parse_pattern, spec, twelfths_str,
+                          compile_pattern, pattern as parse_pattern,
+                          pattern_matches, spec, twelfths_str,
                           HALF, THIRD, SIXTH, ONE, SEVEN_SIXTHS, FOUR_THIRDS,
                           THREE_HALVES)
 
@@ -72,9 +73,8 @@ def amount_of(anchor: tuple) -> int:
     if kind == "R5":
         lam = _concrete_lambda(anchor[1])
         tag, amt = classify_family(lam)
-        want_pat = parse_pattern(anchor[1])
-        from .discharging import _pattern_matches
-        if not _pattern_matches(want_pat, lam):
+        want_pat = compile_pattern(parse_pattern(anchor[1]))
+        if not pattern_matches(want_pat, lam):
             raise AssertionError(f"pattern {anchor[1]} does not match its own "
                                  f"concretization")
         return amt

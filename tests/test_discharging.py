@@ -1,23 +1,29 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from chooselab.discharging import (ALL_CLASSES, EXCLUSIONS, FAMILY_AMOUNT,
+from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
+                                   CLASS_DOMAIN, EXCLUSIONS, FAMILIES,
+                                   FAMILY_AMOUNT,
                                    FIVE_SIXTHS, FOUR_THIRDS, HALF, ONE,
                                    RULE_AMOUNTS, SEVEN_SIXTHS, SEVEN_TWELFTHS,
                                    SIXTH, THIRD, THREE_HALVES, THREE_QUARTERS,
-                                   TWO_THIRDS, apply_rules,
+                                   TWO_THIRDS, TransferRecord, apply_rules,
                                    audit_case_ledger, audit_family_partition,
                                    audit_inequality_6plus,
                                    audit_transfer_observations,
                                    classify_family, face_type,
                                    face_type_of_classes, final_charges,
-                                   initial_charges, lambda_pattern,
+                                   initial_charges, klass_of, lambda_pattern,
                                    matching_families, sweep_4face,
                                    twelfths_str)
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
-from chooselab.plane import (PlaneGraph, cube_graph, dodecahedron_graph,
-                             grid_patch, rotations_from_faces)
+from chooselab.plane import (PlaneGraph, consecutive, cube_graph,
+                             dodecahedron_graph, grid_patch,
+                             rotations_from_faces)
 
 
 def test_rule_amounts_are_integer_twelfths():
@@ -233,10 +239,12 @@ def test_four_face_examples():
     # an all-4_0 face collects 4 * 1/2
     from chooselab.discharging import _min_corner_transfer
     corners = ((4, 0),) * 4
-    assert sum(_min_corner_transfer(corners, i) for i in range(4)) == 2 * ONE
+    assert sum(_min_corner_transfer(corners, i, None)
+               for i in range(4)) == 2 * ONE
     # (5,4_1,5,4_0): 7/12 + 1/3 + 7/12 + 1/2 = 2
     corners = ((5, 0), (4, 1), (5, 0), (4, 0))
-    parts = [_min_corner_transfer(corners, i) for i in range(4)]
+    assert face_type_of_classes(corners) is None
+    parts = [_min_corner_transfer(corners, i, None) for i in range(4)]
     assert sorted(parts) == [THIRD, HALF, SEVEN_TWELFTHS, SEVEN_TWELFTHS]
 
 
@@ -250,3 +258,199 @@ def test_weakening_exclusions_surfaces_findings():
     keep = [e for e in EXCLUSIONS if "cycle-4443" not in e[0]]
     findings, _, _ = sweep_4face(tuple(keep))
     assert findings  # light faces without their exclusion under-collect
+
+
+# -- compiled tables against the ClassSpec walk ---------------------------------
+#
+# The rule tables are compiled into per-component class sets at import.  The
+# walk below is the uncompiled definition, ClassSpec.matches on each
+# component, kept here as the reference the compiled matcher must agree with.
+
+def _ref_pattern_matches(pat, lam) -> bool:
+    if not pat[0].matches(lam[0]):
+        return False
+    fwd = all(pat[i].matches(lam[i]) for i in (1, 2, 3))
+    rev = (pat[1].matches(lam[3]) and pat[2].matches(lam[2])
+           and pat[3].matches(lam[1]))
+    return fwd or rev
+
+
+def _ref_matching_families(lam) -> list[str]:
+    return [tag for tag, _amt, pats in FAMILIES
+            if any(_ref_pattern_matches(p, lam) for p in pats)]
+
+
+def _ref_classify_family(lam) -> tuple[str, int]:
+    for tag, amt, pats in FAMILIES:
+        if any(_ref_pattern_matches(p, lam) for p in pats):
+            return tag, amt
+    return CATCH_ALL
+
+
+def _ref_face_type_of_classes(corners) -> int | None:
+    heavy = [i for i, (d, _) in enumerate(corners) if d >= 5]
+    if len(heavy) != 1:
+        return None
+    i = heavy[0]
+    u, a, w, b = (corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4],
+                  corners[(i + 3) % 4])
+    degs = sorted(x[0] for x in (a, w, b))
+    if degs == [3, 3, 4]:
+        return 1
+    if (a[0], w[0], b[0]) == (4, 3, 4) and w == (3, 1):
+        return 2
+    if any(_ref_pattern_matches(p, (u, a, w, b)) for p in _TYPE3_PATTERNS):
+        return 3
+    return None
+
+
+def _assert_tables_agree(lam) -> None:
+    assert classify_family(lam) == _ref_classify_family(lam), lam
+    assert matching_families(lam) == _ref_matching_families(lam), lam
+    assert face_type_of_classes(lam) == _ref_face_type_of_classes(lam), lam
+
+
+def test_compiled_tables_agree_on_all_lambda_patterns():
+    lams = list(itertools.product([(5, t) for t in range(4)], ALL_CLASSES,
+                                  ALL_CLASSES, ALL_CLASSES))
+    assert len(lams) == 4000
+    for lam in lams:
+        _assert_tables_agree(lam)
+
+
+def test_class_domain_covers_klass_of():
+    assert len(CLASS_DOMAIN) == len(set(CLASS_DOMAIN)) == 22
+    assert set(ALL_CLASSES) <= set(CLASS_DOMAIN)
+    # classes real graphs have outside ALL_CLASSES
+    assert {(2, 0), (2, 2), (3, 3), (5, 4), (5, 5)} <= set(CLASS_DOMAIN)
+
+
+_domain = st.sampled_from(CLASS_DOMAIN)
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@given(st.tuples(_domain, _domain, _domain, _domain))
+@example(((5, 4), (2, 0), (3, 3), (2, 2)))
+@example(((5, 5), (3, 0), (2, 1), (4, 4)))
+@example(((2, 1), (5, 4), (4, 1), (6, None)))
+def test_compiled_tables_agree_on_class_domain(lam):
+    _assert_tables_agree(lam)
+
+
+def test_twelfths_str_matches_fraction():
+    for x in range(-5000, 5001):
+        assert twelfths_str(x) == str(Fraction(x, 12)), x
+
+
+# -- apply_rules against a per-corner reference ----------------------------------
+
+def _ref_r2_amount(G, u, f):
+    threes = sorted(w for w in G.neighbors(u) if G.degree(w) == 3)
+    on_face = set(f.vertices)
+    if len(threes) == 0:
+        return HALF, "R2(1)"
+    if len(threes) == 1:
+        v = threes[0]
+        v_threes = sorted(x for x in G.neighbors(v) if G.degree(x) == 3)
+        if not v_threes:
+            return (HALF if v in on_face else THIRD), "R2(2)"
+        both = v in on_face and v_threes[0] in on_face
+        return (HALF if both else THIRD), "R2(3)"
+    if len(threes) == 2:
+        v, w = threes
+        if consecutive(G, u, v, w):
+            inside = (v in on_face) + (w in on_face)
+            return (HALF, THIRD, SIXTH)[2 - inside], "R2(5)"
+        return THIRD, "R2(4)"
+    return None
+
+
+def _ref_transfers(G) -> tuple[list, list, list]:
+    """apply_rules as it read before the per-graph class tables: face_type
+    and lambda_pattern per face and per corner, degrees read from G."""
+    records, gaps, notes = [], [], []
+    for u in G.vertices:
+        if G.degree(u) != 3:
+            continue
+        threes = [w for w in G.neighbors(u) if G.degree(w) == 3]
+        if len(threes) == 0:
+            for w in sorted(G.neighbors(u)):
+                records.append(TransferRecord(w, "v", u, THIRD, "R1"))
+        elif len(threes) == 1:
+            for w in sorted(G.neighbors(u)):
+                if G.degree(w) >= 4:
+                    records.append(TransferRecord(w, "v", u, HALF, "R1"))
+        else:
+            gaps.append(f"R1: 3-vertex {u} has {len(threes)} 3-neighbors")
+    for fi, f in enumerate(G.faces()):
+        if f.degree != 4:
+            continue
+        ftype = face_type(G, f)
+        for u in f.vertices:
+            d = G.degree(u)
+            if d == 3:
+                continue
+            if d == 4:
+                got = _ref_r2_amount(G, u, f)
+                if got is None:
+                    gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
+                    continue
+                amt, rule = got
+                if rule == "R2(3)" and amt == HALF:
+                    notes.append(
+                        f"R2(3) at vertex {u}, face {fi}: the 3-neighbor's "
+                        f"3-neighbor occupies the corner opposite the sender")
+                records.append(TransferRecord(u, "f", fi, amt, rule))
+            elif ftype is not None:
+                records.append(TransferRecord(u, "f", fi, (10 - ftype) * 2,
+                                              f"R3(type{ftype})"))
+            elif d >= 6:
+                records.append(TransferRecord(u, "f", fi, ONE, "R4"))
+            else:
+                tag, amt = classify_family(lambda_pattern(G, u, f))
+                records.append(TransferRecord(u, "f", fi, amt, f"R5[F{tag}]"))
+    records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
+    return records, gaps, notes
+
+
+def _seeded_plane_graph(seed: int) -> PlaneGraph:
+    """The quad wheel (a 5_5 hub, 2-vertices) grown by seeded chords across
+    faces and edge subdivisions.  A chord joins two vertices with no common
+    neighbor, so the graph stays triangle-free and plane."""
+    rng = random.Random(seed)
+    G = quad_wheel()
+    rot = {v: list(G.rotation(v)) for v in G.vertices}
+    for _ in range(40):
+        G = PlaneGraph(rotation=rot)
+        if rng.random() < 0.3:
+            u = rng.choice(G.vertices)
+            v, x = rng.choice(rot[u]), max(rot) + 1
+            rot[u][rot[u].index(v)] = x
+            rot[v][rot[v].index(u)] = x
+            rot[x] = [u, v]
+            continue
+        walk = rng.choice(G.faces()).vertices
+        i, j = rng.sample(range(len(walk)), 2)
+        a, c = walk[i], walk[j]
+        if (walk.count(a) > 1 or walk.count(c) > 1 or c in G.neighbors(a)
+                or G.neighbors(a) & G.neighbors(c)):
+            continue
+        # walk[i - 1] -> a -> walk[i + 1] turns at a, so c goes between them
+        rot[a].insert(rot[a].index(walk[i - 1]) + 1, c)
+        rot[c].insert(rot[c].index(walk[j - 1]) + 1, a)
+    return PlaneGraph(rotation=rot)
+
+
+def test_apply_rules_matches_per_corner_reference():
+    seen_classes, seen_rules = set(), set()
+    for seed in range(12):
+        G = _seeded_plane_graph(seed)
+        assert G.is_triangle_free()
+        out = apply_rules(G)
+        assert (out.transfers, out.gaps, out.notes) == _ref_transfers(G)
+        seen_classes.update(klass_of(G, v) for v in G.vertices)
+        seen_rules.update(r.rule[:2] for r in out.transfers)
+    # the sample reaches the classes outside ALL_CLASSES and every rule
+    assert any(d == 2 for d, _ in seen_classes)
+    assert any(d == 5 and t >= 4 for d, t in seen_classes)
+    assert {"R1", "R2", "R3", "R4", "R5"} <= seen_rules
