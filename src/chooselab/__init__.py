@@ -11,7 +11,7 @@ from .plane import (PlaneGraph, Face, DegreeClass, build_plane_graph,
                     PathPattern, CyclePattern)
 from .multicolor import (validate_coloring, find_coloring,
                          enumerate_assignments_canonical, choosable,
-                         colorable_ab, ChoosableOpts, TooLarge)
+                         colorable_ab, TooLarge)
 from .reduction import (Delete, Save, PairSave, Color, AssumeSet,
                         AssumeThreeSets, SymbolicState, ConcreteState,
                         run_scheme, run_scheme_all_splits, run_scheme_concrete,

@@ -17,7 +17,7 @@ import sys
 
 from . import claims as claims_mod
 from . import discharging, key_lemma
-from .multicolor import ChoosableOpts, TooLarge, choosable, colorable_ab
+from .multicolor import TooLarge, choosable, colorable_ab
 from .plane import GraphError, NotEmbedded, build_plane_graph
 from .reduction import (ConcreteState, SchemeError, SymbolicState,
                         run_scheme, run_scheme_concrete, step_from_json)
@@ -118,8 +118,7 @@ def cmd_check_choosability(args) -> int:
             print(f"bad f/g spec: {why}", file=sys.stderr)
             return 2
     try:
-        verdict = choosable(G, f, g,
-                            ChoosableOpts(max_vectors=args.max_vectors))
+        verdict = choosable(G, f, g, max_vectors=args.max_vectors)
     except TooLarge as exc:
         print(f"TooLarge: {exc}", file=sys.stderr)
         return 2

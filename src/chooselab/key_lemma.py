@@ -12,21 +12,19 @@ least its profile list size:
     K13: psi = (A1, A2, A3, B) with B a 3-set containing B1 u B2 u B3;
          targets 4, 4, 4 for the leaves and 4 for the center.
 
-The two-set shapes are exhausted exactly (P2 has one class per overlap
-value 0..7); the four-set Venn spaces are swept over a deterministic
-prefix of the canonical order plus a seed-pinned random sample.
+Every shape is exhausted: each canonical class is streamed from the
+enumerator, checked for colorability and, if colorable, for psi.  P2 has
+8 classes (one per overlap 0..7), P3 has 410, and P4 and K13 have 154,279
+each.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 
 from .multicolor import enumerate_assignments_canonical, find_coloring
 from .plane import PlaneGraph, path_graph
-
-SAMPLE_SEED = 20260809
 
 
 @dataclass
@@ -35,6 +33,8 @@ class CaseReport:
     classes_total: int
     classes_colorable: int
     counterexamples: list[dict] = field(default_factory=list)
+    # always False: every class is checked.  perfbench's `lists` workload
+    # reads it, so it can go only in the same change as that check.
     sampled: bool = False
 
     @property
@@ -168,82 +168,27 @@ _CASES = {
 }
 
 
-def _sampled_vectors(G: PlaneGraph, f: dict[int, int], count: int,
-                     seed: int) -> list[dict[int, frozenset[int]]]:
-    """Seed-pinned random canonical classes: random greedy cell fills."""
-    rng = random.Random(seed)
-    verts = sorted(G.vertices)
-    subsets = []
-    for r in range(1, len(verts) + 1):
-        subsets.extend(itertools.combinations(verts, r))
-    out = []
-    seen = set()
-    attempts = 0
-    while len(out) < count and attempts < count * 20:
-        attempts += 1
-        remaining = dict(f)
-        vec = {}
-        while any(remaining.values()):
-            options = [S for S in subsets if all(remaining[v] > 0 for v in S)]
-            S = rng.choice(options)
-            n = rng.randint(1, min(remaining[v] for v in S))
-            vec[S] = vec.get(S, 0) + n
-            for v in S:
-                remaining[v] -= n
-        key = tuple(sorted(vec.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        lists = {v: set() for v in verts}
-        color = 1
-        for S in subsets:
-            n = vec.get(S, 0)
-            if not n:
-                continue
-            for v in S:
-                lists[v].update(range(color, color + n))
-            color += n
-        out.append({v: frozenset(cs) for v, cs in lists.items()})
-    return out
+def verify_case(case: str) -> CaseReport:
+    """Check one component shape over every class of its canonical space.
 
-
-def verify_case(case: str, prefix_cap: int = 2500, sample: int = 600,
-                seed: int = SAMPLE_SEED) -> CaseReport:
-    """Check one component shape over its canonical class space.
-
-    P2 and P3 are exhausted; P4 and K13 sweep a canonical prefix plus a
-    seeded sample (reported as sampled).
+    The classes are streamed one at a time, never held in a list.
     """
     if case not in _CASES:
         raise KeyError(case)
     G, construct = _CASES[case]
     f = {v: 7 for v in G.vertices}
     g4 = {v: 4 for v in G.vertices}
-    exhaustive = case in ("P2", "P3")
-    classes = []
-    if exhaustive:
-        classes = list(enumerate_assignments_canonical(G, f))
-        sampled = False
-    else:
-        gen = enumerate_assignments_canonical(G, f)
-        for lists in gen:
-            classes.append(lists)
-            if len(classes) >= prefix_cap:
-                break
-        classes.extend(_sampled_vectors(G, f, sample, seed))
-        sampled = True
-    colorable = 0
+    total = colorable = 0
     bad = []
-    for lists in classes:
+    for lists in enumerate_assignments_canonical(G, f):
+        total += 1
         if find_coloring(G, lists, g4) is None:
             continue
         colorable += 1
-        psi = construct(lists, G)
-        if psi is None:
+        if construct(lists, G) is None:
             bad.append({"lists": {v: sorted(L) for v, L in lists.items()}})
-    return CaseReport(case=case, classes_total=len(classes),
-                      classes_colorable=colorable, counterexamples=bad,
-                      sampled=sampled)
+    return CaseReport(case=case, classes_total=total,
+                      classes_colorable=colorable, counterexamples=bad)
 
 
 def verify_p2_overlap_table() -> list[dict]:
@@ -263,6 +208,5 @@ def verify_p2_overlap_table() -> list[dict]:
     return rows
 
 
-def verify_all_cases(prefix_cap: int = 2500, sample: int = 600,
-                     seed: int = SAMPLE_SEED) -> list[CaseReport]:
-    return [verify_case(c, prefix_cap, sample, seed) for c in _CASES]
+def verify_all_cases() -> list[CaseReport]:
+    return [verify_case(c) for c in _CASES]

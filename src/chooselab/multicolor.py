@@ -14,7 +14,7 @@ import heapq
 import itertools
 import os
 from decimal import Decimal, InvalidOperation
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .plane import PlaneGraph
@@ -184,7 +184,6 @@ def _max_cells() -> int:
 
 
 def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
-                                    universe_bound: int | None = None,
                                     max_vectors: int | None = None,
                                     ) -> Iterator[dict[int, frozenset[int]]]:
     """Yield one f-list assignment per color-renaming class.
@@ -197,11 +196,10 @@ def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
     lexicographically; every f-list assignment is renaming-equivalent to
     exactly one emitted representative.
 
-    The walk enters a subtree only if an exact test says its cells can
-    still meet the remaining demands with exactly the remaining weight, so
-    every subtree entered emits at least one vector.  The test only prunes:
-    the vectors and their order are those of the plain lexicographic walk.
-    Its memo lives for one call and is shared by all W.
+    The walk skips only subtrees that emit nothing: those that cheap bounds
+    rule out and those it has already walked without emitting.  So the
+    vectors and their order are those of the plain lexicographic walk.  Its
+    record of empty subtrees lives for one call and is shared by all W.
     """
     verts = sorted(G.vertices)
     cap = max_vectors if max_vectors is not None else _max_cells()
@@ -209,30 +207,25 @@ def enumerate_assignments_canonical(G: PlaneGraph, f: dict[int, int],
     for r in range(1, len(verts) + 1):
         subsets.extend(itertools.combinations(verts, r))
     subsets.sort()
-    total_f = sum(f[v] for v in verts)
-    w_lo = max((f[v] for v in verts), default=0)
-    if universe_bound is not None and universe_bound < w_lo:
-        raise ValueError("universe_bound below max f(v)")
-    w_hi = min(total_f, universe_bound) if universe_bound is not None else total_f
-
     emitted = 0
-    for vec in _cell_vectors(subsets, verts, [f[v] for v in verts],
-                             range(w_lo, w_hi + 1)):
+    for vec in _cell_vectors(subsets, verts, [f[v] for v in verts]):
         emitted += 1
         if emitted > cap:
             raise TooLarge(f"canonical enumeration exceeded {cap} vectors")
         yield _realize(vec, subsets, verts)
 
 
-def _cell_vectors(subsets, verts, demand: list[int], weights: range):
+def _cell_vectors(subsets, verts, demand: list[int]):
     """All vectors n_S >= 0 whose cells containing verts[j] sum to
-    demand[j], for each total W in `weights`: by W, then lexicographically.
+    demand[j], for each total W from max(demand) to sum(demand): by W,
+    then lexicographically.
 
-    `first(i, code, w)` is exact: the least count for cell i after which
-    cells i+1.. can still meet the remaining demands `rem` (packed into
-    `code`) with total weight exactly w, or -1 if there is none.  It tries
-    the cheap bounds max(rem) <= w <= sum(rem) first, memoizes the rest
-    under one int key and stops at the first live count.
+    One depth-first walk over the cells, on an explicit stack.  A level is
+    a state (cell i, remaining demands `rem` packed into `code`, weight w
+    left).  The walk skips a level that the bounds max(rem) <= w <= sum(rem)
+    rule out, or that it has walked before, in this or an earlier W,
+    without emitting a vector: such levels go into `dead`, one int key
+    each, so each is walked at most once.
     """
     if min(demand, default=0) < 0:     # no cell sizes sum to a negative
         return
@@ -250,64 +243,53 @@ def _cell_vectors(subsets, verts, demand: list[int], weights: range):
               for i, S in enumerate(members)]
     wspan = sum(demand) + 1
     rem, code0 = list(demand), radix[-1] - 1
-    memo: dict[int, int] = {}
-
-    def scan(i: int, code: int, w: int, n: int) -> int:
-        """The least count >= n for cell i that leaves a live subtree."""
-        S = members[i]
-        hi = min(w, *[rem[j] for j in S])
-        while n <= hi:
-            for j in S:
-                rem[j] -= n
-            ok = first(i + 1, code - n * step[i], w - n) >= 0
-            for j in S:
-                rem[j] += n
-            if ok:
-                return n
-            n += 1
-        return -1
-
-    def first(i: int, code: int, w: int) -> int:
-        if w > sum(rem) or max(rem, default=0) > w:
-            return -1
-        if w == 0:
-            return 0
-        key = (code * wspan + w) * N + i
-        n = memo.get(key)
-        if n is None:
-            c = closes[i]
-            n = memo[key] = scan(i, code, w, rem[c] if c >= 0 else 0)
-        return n
-
+    dead: set[int] = set()
     zeros = (0,) * N
-    vec = [0] * N
-    for W in weights:
-        n = first(0, code0, W)
-        if n < 0:
-            continue
-        # n is the count to apply at level i, or -1 to backtrack; a live
-        # level with no weight left has only zero cells to come
-        i, code, w = 0, code0, W
-        while i >= 0:
-            if w == 0:
-                yield tuple(vec[:i]) + zeros[i:]
-            elif n >= 0:
-                for j in members[i]:
-                    rem[j] -= n
-                code -= n * step[i]
-                w -= n
-                vec[i] = n
-                i += 1
-                n = first(i, code, w)
-                continue
-            i -= 1
-            if i >= 0:
-                n = vec[i]
-                for j in members[i]:
-                    rem[j] += n
-                code += n * step[i]
-                w += n
-                n = scan(i, code, w, n + 1)
+    vec = [0] * N                      # the count of each level on the path
+    hi = [0] * N                       # the largest count each level may take
+    emitted = 0
+    for W in range(max(demand, default=0), sum(demand) + 1):
+        path: list[tuple[int, int]] = []   # (key, emitted on entry) per level
+        # n is None on arriving at level i, -1 to go back up, else the
+        # count to try for cell i
+        i, code, w, n = 0, code0, W, None
+        while True:
+            if n is None:              # arrive at level i
+                if w > sum(rem) or max(rem, default=0) > w:
+                    n = -1
+                elif w == 0:           # every cell to come is empty
+                    yield tuple(vec[:i]) + zeros[i:]
+                    emitted += 1
+                    n = -1
+                elif (key := (code * wspan + w) * N + i) in dead:
+                    n = -1
+                else:
+                    path.append((key, emitted))
+                    hi[i] = min(w, *[rem[j] for j in members[i]])
+                    c = closes[i]
+                    n = rem[c] if c >= 0 else 0
+            if n >= 0:                 # try count n at level i
+                if n <= hi[i]:
+                    for j in members[i]:
+                        rem[j] -= n
+                    code -= n * step[i]
+                    w -= n
+                    vec[i] = n
+                    i += 1
+                    n = None
+                    continue
+                key, before = path.pop()
+                if emitted == before:
+                    dead.add(key)
+            i -= 1                     # back to the level above, next count
+            if i < 0:
+                break
+            n = vec[i]
+            for j in members[i]:
+                rem[j] += n
+            code += n * step[i]
+            w += n
+            n += 1
 
 
 def _realize(vec, subsets, verts) -> dict[int, frozenset[int]]:
@@ -335,26 +317,17 @@ class ChoosableVerdict:
         return self.ok
 
 
-@dataclass
-class ChoosableOpts:
-    max_vectors: int | None = None
-    universe_bound: int | None = None
-
-
 def choosable(G: PlaneGraph, f: dict[int, int] | int, g: dict[int, int] | int,
-              opts: ChoosableOpts | None = None) -> ChoosableVerdict:
+              max_vectors: int | None = None) -> ChoosableVerdict:
     """Decide (f, g)-choosability by exhausting canonical list assignments.
 
     "no" comes with the first failing assignment in the canonical order
     (the lexicographically least witness).
     """
-    opts = opts or ChoosableOpts()
     fmap = _as_map(G, f)
     gmap = _as_map(G, g)
     checked = 0
-    for lists in enumerate_assignments_canonical(G, fmap,
-                                                 universe_bound=opts.universe_bound,
-                                                 max_vectors=opts.max_vectors):
+    for lists in enumerate_assignments_canonical(G, fmap, max_vectors):
         checked += 1
         if find_coloring(G, lists, gmap) is None:
             return ChoosableVerdict(False, witness=lists, checked=checked)

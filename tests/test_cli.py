@@ -277,6 +277,30 @@ def test_colorable_bad_a_b(capsys, c5_file, a, b):
                               "--colorable", "--a", a, "--b", b]), capsys)
 
 
+def test_check_choosability_c11_no_after_one_class(tmp_path, capsys):
+    """An odd cycle fails on its first class; the walk over its 2,047 Venn
+    cells takes no call frame per cell."""
+    p = tmp_path / "c11.json"
+    p.write_text(cycle_graph(11).to_json())
+    rc = main(["check-choosability", "--graph", str(p), "--f", "2",
+               "--g", "1", "--report", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert data["checked"] == 1
+    assert all(cols == [1, 2] for cols in data["witness"].values())
+
+
+def test_check_choosability_c10_cap_exits_2(tmp_path, capsys):
+    """C10 is 2-choosable, so every class is checked and the cap stops it."""
+    p = tmp_path / "c10.json"
+    p.write_text(cycle_graph(10).to_json())
+    rc = main(["check-choosability", "--graph", str(p), "--f", "2",
+               "--g", "1", "--max-vectors", "50"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("TooLarge:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("which", ["f", "g"])
 def test_negative_demand_rejected(tmp_path, capsys, c5_file, which):
     p = tmp_path / "map.json"

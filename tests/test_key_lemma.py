@@ -1,5 +1,4 @@
-from chooselab.key_lemma import (verify_all_cases, verify_case,
-                                 verify_p2_overlap_table)
+from chooselab.key_lemma import verify_case, verify_p2_overlap_table
 
 
 def test_p2_overlap_table():
@@ -25,26 +24,3 @@ def test_p3_exhaustive():
     assert r.ok and not r.sampled
     assert r.classes_total > 100
     assert 0 < r.classes_colorable < r.classes_total
-
-
-def test_p4_bounded():
-    r = verify_case("P4", prefix_cap=250, sample=80)
-    assert r.ok and r.sampled
-
-
-def test_k13_bounded():
-    r = verify_case("K13", prefix_cap=250, sample=80)
-    assert r.ok and r.sampled
-
-
-def test_sampling_is_deterministic():
-    a = verify_case("K13", prefix_cap=40, sample=40, seed=11)
-    b = verify_case("K13", prefix_cap=40, sample=40, seed=11)
-    assert a.classes_total == b.classes_total
-    assert a.classes_colorable == b.classes_colorable
-
-
-def test_verify_all_cases_smoke():
-    reports = verify_all_cases(prefix_cap=120, sample=40)
-    assert [r.case for r in reports] == ["P2", "P3", "P4", "K13"]
-    assert all(r.ok for r in reports)

@@ -3,9 +3,8 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chooselab.multicolor import (ChoosableOpts, EdgeConflict, NotInList,
-                                  SizeShort, TooLarge, _realize, choosable,
-                                  colorable_ab,
+from chooselab.multicolor import (EdgeConflict, NotInList, SizeShort,
+                                  TooLarge, _realize, choosable, colorable_ab,
                                   enumerate_assignments_canonical,
                                   find_coloring, validate_coloring)
 from chooselab.plane import (PlaneGraph, complete_bipartite, cycle_graph,
