@@ -167,6 +167,11 @@ def cmd_audit(args) -> int:
     elif which == "observations":
         findings = discharging.audit_transfer_observations()
     elif which == "ineq6plus":
+        if args.dmax < 7:
+            # the audit checks the negative d = 6 cases and the tight d = 7 one
+            print(f"--dmax must be at least 7, not {args.dmax}",
+                  file=sys.stderr)
+            return 2
         findings = discharging.audit_inequality_6plus(args.dmax)
         data["dmax"] = args.dmax
     elif which == "case-ledger":

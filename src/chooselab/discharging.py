@@ -306,8 +306,9 @@ class RuleOutput:
 def apply_rules(G: PlaneGraph) -> RuleOutput:
     """The complete deterministic transfer set for an embedded triangle-free
     graph.  Vertices outside the rule tables (for example a 3-vertex with two
-    3-neighbors, which the configuration catalog forbids in a minimal host)
-    are reported as gaps and send or receive nothing by the affected rule.
+    3-neighbors, which the configuration catalog forbids in a minimal host,
+    or a 4-face corner of degree 2 or less) are reported as gaps and send or
+    receive nothing by the affected rule.
     """
     if G.abstract:
         from .plane import NotEmbedded
@@ -337,6 +338,7 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
             gaps.append(f"R1: 3-vertex {u} has {t} 3-neighbors")
 
     # R2-R5, sender driven over incident 4-faces
+    below = set()  # corners of degree 2 or less, reported once each
     for fi, f in enumerate(faces):
         if f.degree != 4:
             continue
@@ -346,6 +348,11 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
         for u in corners:
             d = deg[u]
             if d == 3:
+                continue
+            if d <= 2:
+                if u not in below:
+                    below.add(u)
+                    gaps.append(f"R2-R5: {d}-vertex {u} sends nothing")
                 continue
             if d == 4:
                 got = _r2_amount(G, deg, u, corners)
@@ -769,26 +776,51 @@ def _min_corner_transfer(corners, i: int, ftype: int | None) -> int:
     return classify_family((u, a, w, b))[1]
 
 
+def _scenario_total(corners, exclusions) -> int | bool | None:
+    """None if the corners are inconsistent, False if an exclusion drops
+    them, else the worst-case inflow of the face."""
+    if not _consistent(corners):
+        return None
+    for _name, pred in exclusions:
+        if pred(corners):
+            return False
+    ftype = face_type_of_classes(corners)
+    return sum(_min_corner_transfer(corners, i, ftype) for i in range(4))
+
+
+def _orbit_key(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The least of the eight images of the class-index 4-cycle (a, b, c, d)
+    under its four rotations and four reflections."""
+    return min((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c),
+               (a, d, c, b), (d, c, b, a), (c, b, a, d), (b, a, d, c))
+
+
 def sweep_4face(exclusions=EXCLUSIONS) -> tuple[list[Finding], int, int]:
     """Enumerate 4-face corner scenarios, drop the ones excluded by the
     configuration catalog, and check that every survivor collects at least 2
-    (so c*(f) >= 0).  Returns (findings, surviving, excluded)."""
+    (so c*(f) >= 0).  Returns (findings, surviving, excluded).
+
+    Consistency, the face type and the four-corner total are invariant
+    under the eight symmetries of the face (four rotations, four
+    reflections), and every exclusion must be too: each orbit of corner
+    tuples is decided once, and every tuple of it is counted and reported
+    under its own corners, in product order."""
     findings = []
     surviving = excluded = 0
-    for corners in itertools.product(ALL_CLASSES, repeat=4):
-        if not _consistent(corners):
+    decided: dict[tuple, int | bool | None] = {}
+    indices = range(len(ALL_CLASSES))
+    for corners, idx in zip(itertools.product(ALL_CLASSES, repeat=4),
+                            itertools.product(indices, repeat=4)):
+        key = _orbit_key(*idx)
+        if key not in decided:
+            decided[key] = _scenario_total(corners, exclusions)
+        total = decided[key]
+        if total is None:
             continue
-        hit = None
-        for name, pred in exclusions:
-            if pred(corners):
-                hit = name
-                break
-        if hit:
+        if total is False:
             excluded += 1
             continue
         surviving += 1
-        ftype = face_type_of_classes(corners)
-        total = sum(_min_corner_transfer(corners, i, ftype) for i in range(4))
         if total < 2 * ONE:
             findings.append(Finding(
                 "four-face",

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chooselab.cli import main
 from chooselab.plane import cube_graph, cycle_graph, path_graph
@@ -100,6 +100,11 @@ def test_audit_commands(capsys):
     assert main(["audit", "families"]) == 0
     assert main(["audit", "ineq6plus", "--dmax", "8"]) == 0
     assert main(["audit", "case-ledger"]) == 0
+
+
+@pytest.mark.parametrize("dmax", ["6", "-5"])
+def test_ineq6plus_dmax_below_7_rejected(capsys, dmax):
+    _assert_input_error(main(["audit", "ineq6plus", "--dmax", dmax]), capsys)
 
 
 def test_audit_four_face_json(capsys):
@@ -371,6 +376,28 @@ def test_check_choosability_fuzz(tmp_path_factory, n, edge_bits, colorable,
         except SystemExit as exc:       # argparse's usage errors
             rc = exc.code
     assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(6, 10), edge_bits=st.integers(0, 2 ** 45 - 1),
+       f=st.integers(0, 2), g=st.integers(0, 2))
+@example(n=10, edge_bits=2 ** 45 - 1, f=2, g=1)
+def test_check_choosability_fuzz_ten_vertices(tmp_path_factory, n, edge_bits,
+                                              f, g):
+    """Up to 2^9 Venn cells per vertex block, which once ran out of stack."""
+    tmp = tmp_path_factory.mktemp("fuzz10")
+    pairs = [(u, v) for v in range(10) for u in range(v)]
+    edges = [[u, v] for i, (u, v) in enumerate(pairs)
+             if v < n and edge_bits >> i & 1]
+    (tmp / "g.json").write_text(json.dumps({"vertices": list(range(n)),
+                                            "edges": edges}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main(["check-choosability", "--graph", str(tmp / "g.json"),
+                   f"--f={f}", f"--g={g}", "--max-vectors=20"])
+    assert rc in (0, 1, 2), (n, edges, f, g, rc)
     assert "Traceback" not in err.getvalue()
 
 

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    CLASS_DOMAIN, EXCLUSIONS, FAMILIES,
-                                   FAMILY_AMOUNT,
+                                   FAMILY_AMOUNT, Finding, Scenario,
+                                   _consistent, _min_corner_transfer,
                                    FIVE_SIXTHS, FOUR_THIRDS, HALF, ONE,
                                    RULE_AMOUNTS, SEVEN_SIXTHS, SEVEN_TWELFTHS,
                                    SIXTH, THIRD, THREE_HALVES, THREE_QUARTERS,
@@ -237,7 +238,6 @@ def test_four_face_sweep_clean():
 
 def test_four_face_examples():
     # an all-4_0 face collects 4 * 1/2
-    from chooselab.discharging import _min_corner_transfer
     corners = ((4, 0),) * 4
     assert sum(_min_corner_transfer(corners, i, None)
                for i in range(4)) == 2 * ONE
@@ -258,6 +258,90 @@ def test_weakening_exclusions_surfaces_findings():
     keep = [e for e in EXCLUSIONS if "cycle-4443" not in e[0]]
     findings, _, _ = sweep_4face(tuple(keep))
     assert findings  # light faces without their exclusion under-collect
+
+
+# -- the orbit sweep against the tuple-by-tuple sweep --------------------------
+#
+# sweep_4face decides each orbit of corner tuples under the eight symmetries
+# of the face once.  That is sound only if everything it decides with is
+# invariant under them; the tuple-by-tuple sweep below is the reference.
+
+_ALL_CORNERS = list(itertools.product(ALL_CLASSES, repeat=4))
+_SYMMETRIES = ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+               (0, 3, 2, 1), (3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2))
+
+
+def _asymmetric(fn):
+    """A corner tuple whose value under fn differs from the value at one of
+    its rotations or reflections, else None."""
+    value = {cs: fn(cs) for cs in _ALL_CORNERS}
+    for cs, v in value.items():
+        for perm in _SYMMETRIES:
+            if value[tuple(cs[i] for i in perm)] != v:
+                return cs
+    return None
+
+
+def _four_corner_total(cs) -> int:
+    ftype = face_type_of_classes(cs)
+    return sum(_min_corner_transfer(cs, i, ftype) for i in range(4))
+
+
+@pytest.mark.parametrize("fn", [_consistent, face_type_of_classes,
+                                _four_corner_total]
+                         + [pred for _, pred in EXCLUSIONS],
+                         ids=["consistent", "face-type", "total"]
+                         + [f"exclusion-{i}" for i in range(len(EXCLUSIONS))])
+def test_four_face_decisions_are_symmetric(fn):
+    assert _asymmetric(fn) is None
+
+
+def test_asymmetric_exclusion_is_caught():
+    def pred(cs):
+        return cs[0] == (3, 0)
+    assert _asymmetric(pred) is not None
+    # and the orbit sweep would then disagree with the reference
+    extra = EXCLUSIONS + (("asymmetric", pred),)
+    assert sweep_4face(extra) != _reference_sweep(extra)
+
+
+def _reference_sweep(exclusions=EXCLUSIONS) -> tuple[list[Finding], int, int]:
+    """Enumerate 4-face corner scenarios, drop the ones excluded by the
+    configuration catalog, and check that every survivor collects at least 2
+    (so c*(f) >= 0).  Returns (findings, surviving, excluded)."""
+    findings = []
+    surviving = excluded = 0
+    for corners in itertools.product(ALL_CLASSES, repeat=4):
+        if not _consistent(corners):
+            continue
+        hit = None
+        for name, pred in exclusions:
+            if pred(corners):
+                hit = name
+                break
+        if hit:
+            excluded += 1
+            continue
+        surviving += 1
+        ftype = face_type_of_classes(corners)
+        total = sum(_min_corner_transfer(corners, i, ftype) for i in range(4))
+        if total < 2 * ONE:
+            findings.append(Finding(
+                "four-face",
+                f"{Scenario(corners)} collects only {twelfths_str(total)}"))
+    return findings, surviving, excluded
+
+
+@pytest.mark.parametrize("exclusions", [
+    EXCLUSIONS, tuple(e for e in EXCLUSIONS if "cycle-4443" not in e[0]), ()],
+    ids=["all", "no-cycle-4443", "none"])
+def test_orbit_sweep_matches_reference(exclusions):
+    def as_dicts(result):
+        findings, surviving, excluded = result
+        return [f.as_dict() for f in findings], surviving, excluded
+    got = as_dicts(sweep_4face(exclusions))
+    assert got == as_dicts(_reference_sweep(exclusions))
+    assert got[1] + got[2] == 6672
 
 
 # -- compiled tables against the ClassSpec walk ---------------------------------
@@ -367,7 +451,8 @@ def _ref_r2_amount(G, u, f):
 
 def _ref_transfers(G) -> tuple[list, list, list]:
     """apply_rules as it read before the per-graph class tables: face_type
-    and lambda_pattern per face and per corner, degrees read from G."""
+    and lambda_pattern per face and per corner, degrees read from G.  A
+    corner of degree 2 or less sends nothing by R2-R5 and is a gap once."""
     records, gaps, notes = [], [], []
     for u in G.vertices:
         if G.degree(u) != 3:
@@ -389,6 +474,11 @@ def _ref_transfers(G) -> tuple[list, list, list]:
         for u in f.vertices:
             d = G.degree(u)
             if d == 3:
+                continue
+            if d <= 2:
+                gap = f"R2-R5: {d}-vertex {u} sends nothing"
+                if gap not in gaps:
+                    gaps.append(gap)
                 continue
             if d == 4:
                 got = _ref_r2_amount(G, u, f)
