@@ -17,11 +17,14 @@ All amounts are integer twelfths; nothing here touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
-from .plane import Face, PlaneGraph, degree_class
+from .plane import (Face, NotEmbedded, NotIncident, NotQuadFace, PlaneGraph,
+                    consecutive, degree_class)
 
 # charge amounts, in twelfths
 SIXTH = 2
@@ -155,9 +158,6 @@ FAMILIES: tuple[tuple[str, int, tuple], ...] = (
 
 CATCH_ALL = ("1/2", HALF)
 
-FAMILY_AMOUNT = {tag: amt for tag, amt, _ in FAMILIES} | {CATCH_ALL[0]:
-                                                          CATCH_ALL[1]}
-
 _FAMILY_TABLE = tuple((tag, amt, tuple(compile_pattern(p) for p in pats))
                       for tag, amt, pats in FAMILIES)
 
@@ -214,14 +214,6 @@ def face_type_of_classes(corners: tuple[Klass, Klass, Klass, Klass]) -> int | No
     return None
 
 
-def face_corners(f: Face, start: int | None = None) -> tuple[int, ...]:
-    verts = f.vertices
-    if start is None:
-        return verts
-    i = verts.index(start)
-    return verts[i:] + verts[:i]
-
-
 def face_type(G: PlaneGraph, f: Face) -> int | None:
     if f.degree != 4:
         return None
@@ -230,16 +222,74 @@ def face_type(G: PlaneGraph, f: Face) -> int | None:
 
 def lambda_pattern(G: PlaneGraph, u: int, f: Face) -> LambdaPattern:
     """Degree-class signature (class(u), k1, k2, k3) in boundary order from u."""
-    from .plane import NotIncident, NotQuadFace
     if f.degree != 4:
         raise NotQuadFace(f"face has degree {f.degree}")
     if u not in f.vertices:
         raise NotIncident(f"{u} not on face")
-    order = face_corners(f, u)
+    i = f.vertices.index(u)
+    order = f.vertices[i:] + f.vertices[:i]
     return tuple(klass_of(G, v) for v in order)  # type: ignore[return-value]
 
 
 # -- the rules ------------------------------------------------------------------
+
+# Each rule's amounts are defined here once; apply_rules, the sweeps, the
+# audits and the case ledger all read them from these tables.
+
+# R1: a 3_t-vertex receives R1_RATES[t] from each 4+-neighbor (for t = 0,
+# from each neighbor)
+R1_RATES = {0: THIRD, 1: HALF}
+
+# R2: a 4-vertex's rate into an incident 4-face, by sub-case: the rule
+# number, then where the sender's 3-neighbors (and theirs) sit on the face
+R2_RATES = {
+    "1": HALF,
+    "2on": HALF, "2off": THIRD,
+    "3both": HALF, "3other": THIRD,
+    "4": THIRD,
+    "5both": HALF, "5one": THIRD, "5none": SIXTH,
+}
+
+# R4: the 6+ flat rate
+R4_RATE = ONE
+
+# the observed floors (1) R2, (2) 5-vertex, (3) 6+ and (4) 5+ beside two
+# 3-corners, which the case ledger cites as ("obs", n)
+OBS_FLOORS = {1: SIXTH, 2: HALF, 3: ONE, 4: ONE}
+
+
+def r3_rate(k: int) -> int:
+    """R3: (10 - k)/6 from the 5+ corner into a type-k face."""
+    return (10 - k) * ONE // 6
+
+
+def heavy_rate(lam: LambdaPattern, ftype: int | None) -> tuple[int, str]:
+    """The amount and rule label of a 5+ sender whose face reads lam from it:
+    R3 on a typed face, R4 from a 6+ vertex, else R5 by family."""
+    if ftype is not None:
+        return r3_rate(ftype), f"R3(type{ftype})"
+    if lam[0][0] >= 6:
+        return R4_RATE, "R4"
+    tag, amt = classify_family(lam)
+    return amt, f"R5[F{tag}]"
+
+
+FIVES: tuple[Klass, ...] = tuple(c for c in ALL_CLASSES if c[0] == 5)
+
+
+@functools.cache
+def r5_table() -> MappingProxyType[LambdaPattern, tuple[tuple[str, ...], int]]:
+    """Every lambda pattern (5_t, k1, k2, k3) over ALL_CLASSES, in product
+    order, mapped to the families matching it and its R5 amount, both read
+    from the family table classify_family reads.  Built on first use, once
+    per process, and read-only, since every caller shares it."""
+    amount = {tag: amt for tag, amt, _ in _FAMILY_TABLE} | dict([CATCH_ALL])
+    table = {}
+    for lam in itertools.product(FIVES, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES):
+        fams = tuple(matching_families(lam))
+        table[lam] = fams, amount[fams[0] if fams else CATCH_ALL[0]]
+    return MappingProxyType(table)
+
 
 @dataclass(frozen=True)
 class TransferRecord:
@@ -266,33 +316,23 @@ def initial_charges(G: PlaneGraph) -> dict[tuple[str, int], int]:
     return charges
 
 
-def _r2_amount(G: PlaneGraph, deg: dict[int, int], u: int,
-               corners: tuple[int, ...]) -> tuple[int, str] | None:
+def _r2_case(G: PlaneGraph, deg: dict[int, int], u: int,
+             corners: tuple[int, ...]) -> str | None:
+    """The R2_RATES key of 4-vertex u on the face with these corners."""
     threes = sorted(w for w in G.neighbors(u) if deg[w] == 3)
     if len(threes) == 0:
-        return HALF, "R2(1)"
+        return "1"
     if len(threes) == 1:
         v = threes[0]
         v_threes = sorted(x for x in G.neighbors(v) if deg[x] == 3)
         if not v_threes:
-            if v in corners:
-                return HALF, "R2(2)"
-            return THIRD, "R2(2)"
-        w = v_threes[0]
-        if v in corners and w in corners:
-            return HALF, "R2(3)"
-        return THIRD, "R2(3)"
+            return "2on" if v in corners else "2off"
+        return "3both" if v in corners and v_threes[0] in corners else "3other"
     if len(threes) == 2:
         v, w = threes
-        from .plane import consecutive
         if consecutive(G, u, v, w):
-            inside = (v in corners) + (w in corners)
-            if inside == 2:
-                return HALF, "R2(5)"
-            if inside == 1:
-                return THIRD, "R2(5)"
-            return SIXTH, "R2(5)"
-        return THIRD, "R2(4)"
+            return ("5none", "5one", "5both")[(v in corners) + (w in corners)]
+        return "4"
     return None  # >= 3 three-neighbors: outside the rule table
 
 
@@ -307,11 +347,10 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
     """The complete deterministic transfer set for an embedded triangle-free
     graph.  Vertices outside the rule tables (for example a 3-vertex with two
     3-neighbors, which the configuration catalog forbids in a minimal host,
-    or a 4-face corner of degree 2 or less) are reported as gaps and send or
-    receive nothing by the affected rule.
+    or a vertex of degree 2 or less beside a 3_0-vertex or on a 4-face) are
+    reported as gaps and send or receive nothing by the affected rule.
     """
     if G.abstract:
-        from .plane import NotEmbedded
         raise NotEmbedded("discharging needs an embedding")
     faces = G.faces()
     records: list[TransferRecord] = []
@@ -323,19 +362,20 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
              for v, d in deg.items()}
 
     # R1, receiver driven
+    silent = set()  # neighbors of 3_0-vertices of degree 2 or less, once each
     for u, d in deg.items():
         if d != 3:
             continue
         t = klass[u][1]
-        if t == 0:
-            for w in sorted(G.neighbors(u)):
-                records.append(TransferRecord(w, "v", u, THIRD, "R1"))
-        elif t == 1:
-            for w in sorted(G.neighbors(u)):
-                if deg[w] >= 4:
-                    records.append(TransferRecord(w, "v", u, HALF, "R1"))
-        else:
+        if t not in R1_RATES:
             gaps.append(f"R1: 3-vertex {u} has {t} 3-neighbors")
+            continue
+        for w in sorted(G.neighbors(u)):
+            if deg[w] >= 4:
+                records.append(TransferRecord(w, "v", u, R1_RATES[t], "R1"))
+            elif t == 0 and w not in silent:
+                silent.add(w)
+                gaps.append(f"R1: {deg[w]}-vertex {w} sends nothing")
 
     # R2-R5, sender driven over incident 4-faces
     below = set()  # corners of degree 2 or less, reported once each
@@ -355,27 +395,21 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
                     gaps.append(f"R2-R5: {d}-vertex {u} sends nothing")
                 continue
             if d == 4:
-                got = _r2_amount(G, deg, u, corners)
-                if got is None:
+                case = _r2_case(G, deg, u, corners)
+                if case is None:
                     gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
                     continue
-                amt, rule = got
-                if rule == "R2(3)" and amt == HALF:
+                if case == "3both":
                     notes.append(
                         f"R2(3) at vertex {u}, face {fi}: the 3-neighbor's "
                         f"3-neighbor occupies the corner opposite the sender")
-                records.append(TransferRecord(u, "f", fi, amt, rule))
-            elif ftype is not None:
-                # u is the unique 5+ vertex of a typed face
-                records.append(TransferRecord(u, "f", fi, (10 - ftype) * 12 // 6,
-                                              f"R3(type{ftype})"))
-            elif d >= 6:
-                records.append(TransferRecord(u, "f", fi, ONE, "R4"))
+                records.append(TransferRecord(u, "f", fi, R2_RATES[case],
+                                              f"R2({case[0]})"))
             else:
                 # the lambda pattern: the corner classes read from u
                 i = corners.index(u)
-                tag, amt = classify_family(classes[i:] + classes[:i])
-                records.append(TransferRecord(u, "f", fi, amt, f"R5[F{tag}]"))
+                amt, rule = heavy_rate(classes[i:] + classes[:i], ftype)
+                records.append(TransferRecord(u, "f", fi, amt, rule))
     records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
     return RuleOutput(transfers=records, gaps=gaps, notes=notes)
 
@@ -452,25 +486,18 @@ def audit_family_partition() -> tuple[list[Finding], int]:
     catch-all coverage."""
     findings = []
     catch_all = 0
-    selves = [(5, t) for t in range(4)]
-    for lam in itertools.product(selves, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES):
-        fams = matching_families(lam)  # type: ignore[arg-type]
+    for lam, (fams, _amt) in r5_table().items():
         if len(fams) > 1:
             findings.append(Finding(
                 "families",
-                f"{tuple(klass_str(c) for c in lam)} matched by {fams}"))
+                f"{tuple(klass_str(c) for c in lam)} matched by {list(fams)}"))
         elif not fams:
             catch_all += 1
     return findings, catch_all
 
 
-_R2_TABLE = {
-    "R2(1)": (HALF,),
-    "R2(2)": (HALF, THIRD),
-    "R2(3)": (HALF, THIRD),
-    "R2(4)": (THIRD,),
-    "R2(5)": (HALF, THIRD, SIXTH),
-}
+# the two pinned R5 rates: (5, 4_0, w, 4_0) for these middle corners w
+_PINS = {(4, 2): FIVE_SIXTHS, (4, 1): TWO_THIRDS}
 
 
 def audit_transfer_observations() -> list[Finding]:
@@ -483,54 +510,36 @@ def audit_transfer_observations() -> list[Finding]:
     """
     findings: list[Finding] = []
 
-    if min(a for amts in _R2_TABLE.values() for a in amts) != SIXTH:
+    if min(R2_RATES.values()) != OBS_FLOORS[1]:
         findings.append(Finding("obs1", "R2 minimum is not 1/6"))
 
-    r5_amounts = {classify_family(lam)[1]
-                  for lam in itertools.product([(5, t) for t in range(4)],
-                                               ALL_CLASSES, ALL_CLASSES,
-                                               ALL_CLASSES)}
-    if min(r5_amounts) != HALF:
+    r5_amounts = {amt for _fams, amt in r5_table().values()}
+    r3_min = min(r3_rate(k) for k in (1, 2, 3))
+    if min(r5_amounts) != OBS_FLOORS[2]:
         findings.append(Finding("obs2", "R5 minimum is not 1/2"))
-    if min(min(r5_amounts), SEVEN_SIXTHS) < HALF:
+    if min(min(r5_amounts), r3_min) < OBS_FLOORS[2]:
         findings.append(Finding("obs2", "5-vertex floor below 1/2"))
-    if min(ONE, SEVEN_SIXTHS) < ONE:
+    if min(R4_RATE, r3_min) < OBS_FLOORS[3]:
         findings.append(Finding("obs3", "6+ floor below 1"))
 
     # (4): two 3-corners beside a 5+ sender
     threes = [(3, 0), (3, 1)]
-    for u in [(5, t) for t in range(4)] + [(6, None)]:
-        for place in ("adjacent", "opposite"):
-            for x in threes:
-                for y in threes:
-                    for z in ALL_CLASSES:
-                        if place == "adjacent":
-                            a, w, b = x, y, z
-                            if z[0] == 3:
-                                continue  # (3,3,3)-path through w
-                        else:
-                            a, w, b = x, z, y
-                            if z[0] == 3:
-                                continue  # (3,3,3)-path through z... z=w here
-                        corners = (u, a, w, b)
-                        ftype = face_type_of_classes(corners)
-                        if ftype is not None:
-                            amt = (10 - ftype) * 2
-                        elif u[0] >= 6:
-                            amt = ONE
-                        else:
-                            amt = classify_family(corners)[1]
-                        if amt < ONE:
-                            findings.append(Finding(
-                                "obs4",
-                                f"{tuple(klass_str(c) for c in corners)} "
+    for u in FIVES + ((6, None),):
+        for adjacent in (True, False):
+            for x, y, z in itertools.product(threes, threes, ALL_CLASSES):
+                if z[0] == 3:
+                    continue  # a (3,3,3)-path a, w, b
+                corners = (u, x, y, z) if adjacent else (u, x, z, y)
+                amt = heavy_rate(corners, face_type_of_classes(corners))[0]
+                if amt < OBS_FLOORS[4]:
+                    findings.append(Finding(
+                        "obs4", f"{tuple(klass_str(c) for c in corners)} "
                                 f"transfers {twelfths_str(amt)} < 1"))
 
-    for pat, want in ((("5", "4_0", "4_2", "4_0"), FIVE_SIXTHS),
-                      (("5", "4_0", "4_1", "4_0"), TWO_THIRDS)):
-        lam = ((5, 0), (4, 0), (4, int(pat[2][2])), (4, 0))
-        got = classify_family(lam)[1]
+    for w, want in _PINS.items():
+        got = classify_family(((5, 0), (4, 0), w, (4, 0)))[1]
         if got != want:
+            pat = ("5", "4_0", klass_str(w), "4_0")
             findings.append(Finding("pin", f"{pat} -> {twelfths_str(got)}, "
                                            f"want {twelfths_str(want)}"))
 
@@ -539,30 +548,25 @@ def audit_transfer_observations() -> list[Finding]:
     return findings
 
 
+# the side corners both bounded-rate sweeps allow: 4_0 or 5+
+_SIDES = ((4, 0),) + FIVES + ((6, None),)
+
+
 def _audit_obs_half() -> list[Finding]:
     """Faces whose side corners are 4_0 or 5+: the rate is 5/6 exactly on
     (5,4_0,4_2,4_0), 2/3 exactly on (5,4_0,4_1,4_0), else at most 1/2."""
     findings = []
-    sides = [(4, 0)] + [(5, t) for t in range(4)] + [(6, None)]
-    mids = [c for c in ALL_CLASSES if c[0] >= 4]
-    for u in [(5, t) for t in range(4)]:
-        for a in sides:
-            for w in mids:
-                for b in sides:
-                    lam = (u, a, w, b)
-                    if face_type_of_classes(lam) is not None:
-                        continue
-                    amt = classify_family(lam)[1]
-                    is_42 = a == (4, 0) and b == (4, 0) and w == (4, 2)
-                    is_41 = a == (4, 0) and b == (4, 0) and w == (4, 1)
-                    want_max = FIVE_SIXTHS if is_42 else \
-                        TWO_THIRDS if is_41 else HALF
-                    want_exact = is_42 or is_41
-                    if (amt != want_max) if want_exact else (amt > want_max):
-                        findings.append(Finding(
-                            "obs-almost-1/2",
-                            f"{tuple(klass_str(c) for c in lam)} -> "
-                            f"{twelfths_str(amt)}"))
+    for lam, (_fams, amt) in r5_table().items():
+        _u, a, w, b = lam
+        if a not in _SIDES or w[0] < 4 or b not in _SIDES:
+            continue
+        if face_type_of_classes(lam) is not None:
+            continue
+        want = _PINS.get(w) if a == b == (4, 0) else None
+        if (amt != want) if want else (amt > HALF):
+            findings.append(Finding(
+                "obs-almost-1/2",
+                f"{tuple(klass_str(c) for c in lam)} -> {twelfths_str(amt)}"))
     return findings
 
 
@@ -572,24 +576,20 @@ def _audit_obs_three_quarters() -> list[Finding]:
     catalog exclusions: no (5_{>=2},3,4,4)-face and no (5,3,4,5_{>=1})-face
     when the sender has the extra 3-neighbor."""
     findings = []
-    bs = [(4, 0)] + [(5, t) for t in range(4)] + [(6, None)]
-    for u in ((5, 2), (5, 3)):
-        for a in ((3, 0), (3, 1)):
-            for w in (c for c in ALL_CLASSES if c[0] >= 4):
-                for b in bs:
-                    if w[0] == 4 and b[0] == 4:
-                        continue  # excluded: (5_{>=2},3,4,4)-cycle
-                    if w[0] == 4 and b[0] == 5 and b[1] >= 1:
-                        continue  # excluded: (5,3,4,5_{>=1}) + extra 3-nbr
-                    lam = (u, a, w, b)
-                    if face_type_of_classes(lam) is not None:
-                        continue
-                    amt = classify_family(lam)[1]
-                    if amt > THREE_QUARTERS:
-                        findings.append(Finding(
-                            "obs-almost-3/4",
-                            f"{tuple(klass_str(c) for c in lam)} -> "
-                            f"{twelfths_str(amt)}"))
+    for lam, (_fams, amt) in r5_table().items():
+        u, a, w, b = lam
+        if u[1] < 2 or a[0] != 3 or w[0] < 4 or b not in _SIDES:
+            continue
+        if w[0] == 4 and b[0] == 4:
+            continue  # excluded: (5_{>=2},3,4,4)-cycle
+        if w[0] == 4 and b[0] == 5 and b[1] >= 1:
+            continue  # excluded: (5,3,4,5_{>=1}) + extra 3-nbr
+        if face_type_of_classes(lam) is not None:
+            continue
+        if amt > THREE_QUARTERS:
+            findings.append(Finding(
+                "obs-almost-3/4",
+                f"{tuple(klass_str(c) for c in lam)} -> {twelfths_str(amt)}"))
     return findings
 
 
@@ -604,6 +604,7 @@ def audit_inequality_6plus(d_max: int = 12) -> list[Finding]:
     findings = []
     seen_negative_d6 = False
     tight = None
+    type1, type2, type3 = (r3_rate(k) for k in (1, 2, 3))
     for d in range(6, d_max + 1):
         for r0 in range(d // 2 + 1):
             for r1 in range(d - r0 + 1):
@@ -617,10 +618,9 @@ def audit_inequality_6plus(d_max: int = 12) -> list[Finding]:
                         # worst (alpha, beta): alpha = s_free - 2 r0, beta = 2 r0
                         alpha, beta = s_free - 2 * r0, 2 * r0
                         step = (3 * d - 10) * 12 - (
-                            THREE_HALVES * (r0 + r1) + FOUR_THIRDS * r2
-                            + SEVEN_SIXTHS * r3
-                            + ONE * (d - r0 - r1 - r2 - r3)
-                            + HALF * alpha + THIRD * beta)
+                            type1 * (r0 + r1) + type2 * r2 + type3 * r3
+                            + R4_RATE * (d - r0 - r1 - r2 - r3)
+                            + R1_RATES[1] * alpha + R1_RATES[0] * beta)
                         closed = 18 * d - 120 - 2 * r0 + 8 * r2 + 4 * r3
                         if step != closed:
                             findings.append(Finding(
@@ -752,28 +752,22 @@ def _min_corner_transfer(corners, i: int, ftype: int | None) -> int:
     if d == 3:
         return 0
     a, w, b = corners[(i + 1) % 4], corners[(i + 2) % 4], corners[(i + 3) % 4]
-    if d == 4:
-        n_on = (a[0] == 3) + (b[0] == 3)
-        if t == 0:
-            return HALF
-        if t == 1:
-            if n_on == 1:
-                v = a if a[0] == 3 else b
-                if v == (3, 0):
-                    return HALF            # R2(2), v on the face
-                return HALF if w[0] == 3 else THIRD  # R2(3)
-            return THIRD                   # off-face 3-neighbor
-        # t == 2
-        if n_on == 2:
-            return HALF                    # consecutive, both on the face
-        if n_on == 1:
-            return THIRD                   # R2(4) or R2(5) with one inside
-        return SIXTH                       # both off: consecutive possible
-    if ftype is not None:
-        return (10 - ftype) * 2
-    if d >= 6:
-        return ONE
-    return classify_family((u, a, w, b))[1]
+    if d >= 5:
+        return heavy_rate((u, a, w, b), ftype)[0]
+    # a 4-vertex: the R2 cases its class leaves open, and the least rate
+    on = [c for c in (a, b) if c[0] == 3]  # its 3-neighbors on the face
+    if t == 0:
+        cases = ("1",)
+    elif t == 1 and len(on) == 1:
+        # the 3-neighbor's own 3-neighbor, if any, is on the face iff it is w
+        cases = (("2on",) if on[0] == (3, 0) else
+                 ("3both",) if w[0] == 3 else ("3other",))
+    elif t == 1:
+        cases = ("2off", "3other")          # the 3-neighbor is off the face
+    else:
+        # two on the face are consecutive around u; with fewer on it, either
+        cases = (("4", "5none"), ("4", "5one"), ("5both",))[len(on)]
+    return min(R2_RATES[c] for c in cases)
 
 
 def _scenario_total(corners, exclusions) -> int | bool | None:

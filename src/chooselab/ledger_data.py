@@ -1,37 +1,26 @@
 """Golden table of the displayed final-charge arithmetic, in twelfths.
 
 Each entry records one displayed computation line: a list of (coefficient,
-anchor) terms, the claimed total, and the relation.  check_entry recomputes
-the sum exactly and re-derives every anchored amount from the rule tables:
+anchor) terms and the claimed total.  check_entry recomputes the sum exactly
+and re-derives every anchored amount from the rule tables in discharging:
 
     ("init_v", d) / ("init_f", d)   initial charges
-    ("R1", "3_0" | "3_1")           neighbor rates 1/3, 1/2
-    ("R2", key)                     the 4-vertex sub-case table
-    ("R3", k)                       (10 - k)/6, also used as type-k caps
-    ("R4",)                         the 6+ flat rate 1
+    ("R1", "3_0" | "3_1")           R1_RATES, the neighbor rates
+    ("R2", key)                     R2_RATES, the 4-vertex sub-case table
+    ("R3", k)                       r3_rate(k), also used as type-k caps
+    ("R4",)                         R4_RATE, the 6+ flat rate
     ("R5", "5,4_1,5,5")             family classification of the pattern
     ("R5max", excluded_tags)        best rate outside the excluded families
-    ("obs", n)                      the observation floors
+    ("obs", n)                      OBS_FLOORS, the observation floors
     ("lit", x)                      plain value, arithmetic only
 """
 
 from __future__ import annotations
 
-from .discharging import (FAMILIES, CATCH_ALL, Finding, classify_family,
-                          compile_pattern, pattern as parse_pattern,
-                          pattern_matches, spec, twelfths_str,
-                          HALF, THIRD, SIXTH, ONE, SEVEN_SIXTHS, FOUR_THIRDS,
-                          THREE_HALVES)
-
-R2_KEY_AMOUNTS = {
-    "1": HALF,
-    "2on": HALF, "2off": THIRD,
-    "3both": HALF, "3other": THIRD,
-    "4": THIRD,
-    "5both": HALF, "5one": THIRD, "5none": SIXTH,
-}
-
-OBS_FLOORS = {1: SIXTH, 2: HALF, 3: ONE, 4: ONE}
+from .discharging import (FAMILIES, CATCH_ALL, OBS_FLOORS, R1_RATES, R2_RATES,
+                          R4_RATE, Finding, classify_family, compile_pattern,
+                          pattern as parse_pattern, pattern_matches, r3_rate,
+                          spec, twelfths_str)
 
 
 def _r5max(excluded: tuple[str, ...]) -> int:
@@ -43,16 +32,12 @@ def _r5max(excluded: tuple[str, ...]) -> int:
 def _concrete_lambda(s: str):
     """A concrete class tuple realizing a pattern string exactly."""
     out = []
-    for i, p in enumerate(s.split(",")):
+    for p in s.split(","):
         sp = spec(p.strip())
-        d = sp.d
-        if sp.d_atleast and d == 5:
-            d = 5
-        if sp.d_atleast and d >= 6:
+        if sp.d_atleast and sp.d >= 6:
             out.append((6, None))
             continue
-        t = sp.t if sp.t is not None else 0
-        out.append((d, t))
+        out.append((sp.d, sp.t if sp.t is not None else 0))
     return tuple(out)
 
 
@@ -63,13 +48,13 @@ def amount_of(anchor: tuple) -> int:
     if kind == "init_f":
         return (2 * anchor[1] - 10) * 12
     if kind == "R1":
-        return {"3_0": THIRD, "3_1": HALF}[anchor[1]]
+        return R1_RATES[int(anchor[1].removeprefix("3_"))]
     if kind == "R2":
-        return R2_KEY_AMOUNTS[anchor[1]]
+        return R2_RATES[anchor[1]]
     if kind == "R3":
-        return (10 - anchor[1]) * 2
+        return r3_rate(anchor[1])
     if kind == "R4":
-        return ONE
+        return R4_RATE
     if kind == "R5":
         lam = _concrete_lambda(anchor[1])
         tag, amt = classify_family(lam)
@@ -97,30 +82,17 @@ def check_entry(entry: dict) -> list[Finding]:
             findings.append(Finding("case-ledger",
                                     f"{entry['id']}: {anchor}: {exc}"))
             continue
-        if anchor[0] == "R5":
-            # cross-check the printed family rate against the classifier
-            claimed = entry.get("rates", {}).get(anchor[1])
-            if claimed is not None and claimed != amt:
-                findings.append(Finding(
-                    "case-ledger",
-                    f"{entry['id']}: {anchor[1]} classifies to "
-                    f"{twelfths_str(amt)}, table says {twelfths_str(claimed)}"))
         total += coeff * amt
-    want = entry["total"]
-    rel = entry.get("relation", "==")
-    ok = (total == want) if rel == "==" else \
-        (total >= want) if rel == ">=" else (total <= want)
-    if not ok:
+    if total != entry["total"]:
         findings.append(Finding(
             "case-ledger",
-            f"{entry['id']}: sum {twelfths_str(total)} {rel} "
-            f"{twelfths_str(want)} fails"))
+            f"{entry['id']}: sum {twelfths_str(total)} == "
+            f"{twelfths_str(entry['total'])} fails"))
     return findings
 
 
-def E(id: str, about: str, terms, total: int, relation: str = "==") -> dict:
-    return {"id": id, "about": about, "terms": terms, "total": total,
-            "relation": relation}
+def E(id: str, about: str, terms, total: int) -> dict:
+    return {"id": id, "about": about, "terms": terms, "total": total}
 
 
 CASE_LEDGER: list[dict] = [

@@ -107,6 +107,12 @@ def test_ineq6plus_dmax_below_7_rejected(capsys, dmax):
     _assert_input_error(main(["audit", "ineq6plus", "--dmax", dmax]), capsys)
 
 
+@pytest.mark.parametrize("dmax", ["51", "1000000"])
+def test_ineq6plus_dmax_above_50_rejected(capsys, dmax):
+    # rejected before the sweep, whose work grows as dmax^5
+    _assert_input_error(main(["audit", "ineq6plus", "--dmax", dmax]), capsys)
+
+
 def test_audit_four_face_json(capsys):
     rc = main(["audit", "four-face", "--report", "json"])
     data = json.loads(capsys.readouterr().out)

@@ -5,22 +5,24 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chooselab import discharging
 from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
-                                   CLASS_DOMAIN, EXCLUSIONS, FAMILIES,
-                                   FAMILY_AMOUNT, Finding, Scenario,
-                                   _consistent, _min_corner_transfer,
-                                   FIVE_SIXTHS, FOUR_THIRDS, HALF, ONE,
-                                   RULE_AMOUNTS, SEVEN_SIXTHS, SEVEN_TWELFTHS,
-                                   SIXTH, THIRD, THREE_HALVES, THREE_QUARTERS,
-                                   TWO_THIRDS, TransferRecord, apply_rules,
-                                   audit_case_ledger, audit_family_partition,
+                                   CLASS_DOMAIN, EXCLUSIONS, FAMILIES, FIVES,
+                                   Finding, R2_RATES, Scenario, _consistent,
+                                   _min_corner_transfer, _r2_case,
+                                   compile_pattern, FIVE_SIXTHS, FOUR_THIRDS,
+                                   HALF, ONE, RULE_AMOUNTS, SEVEN_SIXTHS,
+                                   SEVEN_TWELFTHS, SIXTH, THIRD, THREE_HALVES,
+                                   THREE_QUARTERS, TWO_THIRDS, TransferRecord,
+                                   apply_rules, audit_case_ledger,
+                                   audit_family_partition,
                                    audit_inequality_6plus,
                                    audit_transfer_observations,
                                    classify_family, face_type,
                                    face_type_of_classes, final_charges,
-                                   initial_charges, klass_of, lambda_pattern,
-                                   matching_families, sweep_4face,
-                                   twelfths_str)
+                                   initial_charges, klass_of, klass_str,
+                                   lambda_pattern, matching_families, pattern,
+                                   r5_table, sweep_4face, twelfths_str)
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
 from chooselab.plane import (PlaneGraph, consecutive, cube_graph,
                              dodecahedron_graph, grid_patch,
@@ -176,6 +178,19 @@ def test_three_vertex_with_one_three_neighbor_receives_half():
     into_1 = [r for r in out.transfers if r.receiver_kind == "v"
               and r.receiver == 1]
     assert [(r.sender, r.amount, r.rule) for r in into_1] == [(5, HALF, "R1")]
+
+
+def test_r1_senders_of_degree_2_send_nothing():
+    # on the 3x3 grid patch each side's middle vertex is a 3_0-vertex
+    # between two corners of degree 2
+    G = grid_patch(2, 2)
+    out = apply_rules(G)
+    low = [v for v in G.vertices if G.degree(v) <= 2]
+    assert low
+    assert not [r for r in out.transfers if r.sender in low]
+    r1_gaps = [g for g in out.gaps if g.startswith("R1: 2-vertex")]
+    assert sorted(r1_gaps) == sorted(f"R1: 2-vertex {v} sends nothing"
+                                     for v in low)
 
 
 def test_hex_pair_transfers_only_r1():
@@ -452,7 +467,8 @@ def _ref_r2_amount(G, u, f):
 def _ref_transfers(G) -> tuple[list, list, list]:
     """apply_rules as it read before the per-graph class tables: face_type
     and lambda_pattern per face and per corner, degrees read from G.  A
-    corner of degree 2 or less sends nothing by R2-R5 and is a gap once."""
+    vertex of degree 2 or less sends nothing by R1 (to a 3_0-vertex) or by
+    R2-R5 (as a 4-face corner), and is a gap once for each."""
     records, gaps, notes = [], [], []
     for u in G.vertices:
         if G.degree(u) != 3:
@@ -460,7 +476,12 @@ def _ref_transfers(G) -> tuple[list, list, list]:
         threes = [w for w in G.neighbors(u) if G.degree(w) == 3]
         if len(threes) == 0:
             for w in sorted(G.neighbors(u)):
-                records.append(TransferRecord(w, "v", u, THIRD, "R1"))
+                if G.degree(w) >= 4:
+                    records.append(TransferRecord(w, "v", u, THIRD, "R1"))
+                    continue
+                gap = f"R1: {G.degree(w)}-vertex {w} sends nothing"
+                if gap not in gaps:
+                    gaps.append(gap)
         elif len(threes) == 1:
             for w in sorted(G.neighbors(u)):
                 if G.degree(w) >= 4:
@@ -544,3 +565,290 @@ def test_apply_rules_matches_per_corner_reference():
     assert any(d == 2 for d, _ in seen_classes)
     assert any(d == 5 and t >= 4 for d, t in seen_classes)
     assert {"R1", "R2", "R3", "R4", "R5"} <= seen_rules
+
+
+# -- one table per rule against the code it replaced ------------------------------
+#
+# Each rule's amounts are defined once, in R1_RATES, R2_RATES, r3_rate,
+# R4_RATE and OBS_FLOORS, and the audits read the R5 lambda-pattern space from
+# r5_table.  Below, verbatim, are the audits, the R2 amount and the 4-face
+# worst case as they read when each consumer spelled its rates out; the new
+# code must agree with them on the shipped tables and on mutated tables that
+# produce findings.
+
+def _ref_audit_family_partition() -> tuple[list[Finding], int]:
+    findings = []
+    catch_all = 0
+    selves = [(5, t) for t in range(4)]
+    for lam in itertools.product(selves, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES):
+        fams = matching_families(lam)  # type: ignore[arg-type]
+        if len(fams) > 1:
+            findings.append(Finding(
+                "families",
+                f"{tuple(klass_str(c) for c in lam)} matched by {fams}"))
+        elif not fams:
+            catch_all += 1
+    return findings, catch_all
+
+
+_REF_R2_TABLE = {
+    "R2(1)": (HALF,),
+    "R2(2)": (HALF, THIRD),
+    "R2(3)": (HALF, THIRD),
+    "R2(4)": (THIRD,),
+    "R2(5)": (HALF, THIRD, SIXTH),
+}
+
+
+def _ref_audit_transfer_observations() -> list[Finding]:
+    findings: list[Finding] = []
+
+    if min(a for amts in _REF_R2_TABLE.values() for a in amts) != SIXTH:
+        findings.append(Finding("obs1", "R2 minimum is not 1/6"))
+
+    r5_amounts = {classify_family(lam)[1]
+                  for lam in itertools.product([(5, t) for t in range(4)],
+                                               ALL_CLASSES, ALL_CLASSES,
+                                               ALL_CLASSES)}
+    if min(r5_amounts) != HALF:
+        findings.append(Finding("obs2", "R5 minimum is not 1/2"))
+    if min(min(r5_amounts), SEVEN_SIXTHS) < HALF:
+        findings.append(Finding("obs2", "5-vertex floor below 1/2"))
+    if min(ONE, SEVEN_SIXTHS) < ONE:
+        findings.append(Finding("obs3", "6+ floor below 1"))
+
+    # (4): two 3-corners beside a 5+ sender
+    threes = [(3, 0), (3, 1)]
+    for u in [(5, t) for t in range(4)] + [(6, None)]:
+        for place in ("adjacent", "opposite"):
+            for x in threes:
+                for y in threes:
+                    for z in ALL_CLASSES:
+                        if place == "adjacent":
+                            a, w, b = x, y, z
+                            if z[0] == 3:
+                                continue  # (3,3,3)-path through w
+                        else:
+                            a, w, b = x, z, y
+                            if z[0] == 3:
+                                continue  # (3,3,3)-path through z... z=w here
+                        corners = (u, a, w, b)
+                        ftype = face_type_of_classes(corners)
+                        if ftype is not None:
+                            amt = (10 - ftype) * 2
+                        elif u[0] >= 6:
+                            amt = ONE
+                        else:
+                            amt = classify_family(corners)[1]
+                        if amt < ONE:
+                            findings.append(Finding(
+                                "obs4",
+                                f"{tuple(klass_str(c) for c in corners)} "
+                                f"transfers {twelfths_str(amt)} < 1"))
+
+    for pat, want in ((("5", "4_0", "4_2", "4_0"), FIVE_SIXTHS),
+                      (("5", "4_0", "4_1", "4_0"), TWO_THIRDS)):
+        lam = ((5, 0), (4, 0), (4, int(pat[2][2])), (4, 0))
+        got = classify_family(lam)[1]
+        if got != want:
+            findings.append(Finding("pin", f"{pat} -> {twelfths_str(got)}, "
+                                           f"want {twelfths_str(want)}"))
+
+    findings.extend(_ref_audit_obs_half())
+    findings.extend(_ref_audit_obs_three_quarters())
+    return findings
+
+
+def _ref_audit_obs_half() -> list[Finding]:
+    findings = []
+    sides = [(4, 0)] + [(5, t) for t in range(4)] + [(6, None)]
+    mids = [c for c in ALL_CLASSES if c[0] >= 4]
+    for u in [(5, t) for t in range(4)]:
+        for a in sides:
+            for w in mids:
+                for b in sides:
+                    lam = (u, a, w, b)
+                    if face_type_of_classes(lam) is not None:
+                        continue
+                    amt = classify_family(lam)[1]
+                    is_42 = a == (4, 0) and b == (4, 0) and w == (4, 2)
+                    is_41 = a == (4, 0) and b == (4, 0) and w == (4, 1)
+                    want_max = FIVE_SIXTHS if is_42 else \
+                        TWO_THIRDS if is_41 else HALF
+                    want_exact = is_42 or is_41
+                    if (amt != want_max) if want_exact else (amt > want_max):
+                        findings.append(Finding(
+                            "obs-almost-1/2",
+                            f"{tuple(klass_str(c) for c in lam)} -> "
+                            f"{twelfths_str(amt)}"))
+    return findings
+
+
+def _ref_audit_obs_three_quarters() -> list[Finding]:
+    findings = []
+    bs = [(4, 0)] + [(5, t) for t in range(4)] + [(6, None)]
+    for u in ((5, 2), (5, 3)):
+        for a in ((3, 0), (3, 1)):
+            for w in (c for c in ALL_CLASSES if c[0] >= 4):
+                for b in bs:
+                    if w[0] == 4 and b[0] == 4:
+                        continue  # excluded: (5_{>=2},3,4,4)-cycle
+                    if w[0] == 4 and b[0] == 5 and b[1] >= 1:
+                        continue  # excluded: (5,3,4,5_{>=1}) + extra 3-nbr
+                    lam = (u, a, w, b)
+                    if face_type_of_classes(lam) is not None:
+                        continue
+                    amt = classify_family(lam)[1]
+                    if amt > THREE_QUARTERS:
+                        findings.append(Finding(
+                            "obs-almost-3/4",
+                            f"{tuple(klass_str(c) for c in lam)} -> "
+                            f"{twelfths_str(amt)}"))
+    return findings
+
+
+def _ref_r2_amount_by_code(G, deg, u, corners):
+    threes = sorted(w for w in G.neighbors(u) if deg[w] == 3)
+    if len(threes) == 0:
+        return HALF, "R2(1)"
+    if len(threes) == 1:
+        v = threes[0]
+        v_threes = sorted(x for x in G.neighbors(v) if deg[x] == 3)
+        if not v_threes:
+            if v in corners:
+                return HALF, "R2(2)"
+            return THIRD, "R2(2)"
+        w = v_threes[0]
+        if v in corners and w in corners:
+            return HALF, "R2(3)"
+        return THIRD, "R2(3)"
+    if len(threes) == 2:
+        v, w = threes
+        if consecutive(G, u, v, w):
+            inside = (v in corners) + (w in corners)
+            if inside == 2:
+                return HALF, "R2(5)"
+            if inside == 1:
+                return THIRD, "R2(5)"
+            return SIXTH, "R2(5)"
+        return THIRD, "R2(4)"
+    return None  # >= 3 three-neighbors: outside the rule table
+
+
+def _ref_min_corner_transfer(corners, i, ftype):
+    u = corners[i]
+    d, t = u
+    if d == 3:
+        return 0
+    a, w, b = corners[(i + 1) % 4], corners[(i + 2) % 4], corners[(i + 3) % 4]
+    if d == 4:
+        n_on = (a[0] == 3) + (b[0] == 3)
+        if t == 0:
+            return HALF
+        if t == 1:
+            if n_on == 1:
+                v = a if a[0] == 3 else b
+                if v == (3, 0):
+                    return HALF            # R2(2), v on the face
+                return HALF if w[0] == 3 else THIRD  # R2(3)
+            return THIRD                   # off-face 3-neighbor
+        # t == 2
+        if n_on == 2:
+            return HALF                    # consecutive, both on the face
+        if n_on == 1:
+            return THIRD                   # R2(4) or R2(5) with one inside
+        return SIXTH                       # both off: consecutive possible
+    if ftype is not None:
+        return (10 - ftype) * 2
+    if d >= 6:
+        return ONE
+    return classify_family((u, a, w, b))[1]
+
+
+@pytest.fixture
+def fresh_r5_table():
+    """r5_table is built once per process; rebuild it around a mutation."""
+    r5_table.cache_clear()
+    yield
+    r5_table.cache_clear()
+
+
+def _mutate_families(monkeypatch, edit) -> None:
+    """Replace the compiled family table by edit(tag, amt, pats) per family."""
+    table = tuple(edit(tag, amt, pats)
+                  for tag, amt, pats in discharging._FAMILY_TABLE)
+    monkeypatch.setattr(discharging, "_FAMILY_TABLE", table)
+
+
+def _assert_audits_match_reference():
+    assert audit_family_partition() == _ref_audit_family_partition()
+    assert audit_transfer_observations() == _ref_audit_transfer_observations()
+
+
+def test_audits_match_reference_on_shipped_tables(fresh_r5_table):
+    _assert_audits_match_reference()
+
+
+def test_audits_match_reference_with_overlapping_families(monkeypatch,
+                                                           fresh_r5_table):
+    # a "5/6" pattern, the pinned one, also listed under "1": its lambda
+    # patterns match both families and classify as "1"
+    extra = compile_pattern(pattern("5,4_0,4_2,4_0"))
+    _mutate_families(monkeypatch, lambda tag, amt, pats: (
+        tag, amt, pats + (extra,) if tag == "1" else pats))
+    findings, _ = audit_family_partition()
+    assert findings and all(f.audit == "families" for f in findings)
+    _assert_audits_match_reference()
+
+
+def test_audits_match_reference_with_raised_family_amount(monkeypatch,
+                                                           fresh_r5_table):
+    # the 2/3 family raised to 1, above the 3/4 and 1/2 bounds
+    _mutate_families(monkeypatch, lambda tag, amt, pats: (
+        tag, ONE if tag == "2/3" else amt, pats))
+    audits = {f.audit for f in audit_transfer_observations()}
+    assert {"obs-almost-1/2", "obs-almost-3/4"} <= audits
+    _assert_audits_match_reference()
+
+
+def test_r5_table_covers_the_lambda_space():
+    table = r5_table()
+    assert list(table) == list(itertools.product(FIVES, ALL_CLASSES,
+                                                 ALL_CLASSES, ALL_CLASSES))
+    assert len(table) == 4000
+    for lam, (fams, amt) in table.items():
+        assert list(fams) == matching_families(lam)
+        assert amt == classify_family(lam)[1]
+
+
+def test_r2_rates_keys_are_the_ledger_anchors():
+    anchors = {anchor[1] for entry in CASE_LEDGER
+               for _, anchor in entry["terms"] if anchor[0] == "R2"}
+    assert anchors == set(R2_RATES)
+
+
+def test_r2_case_matches_reference():
+    seen = set()
+    for G in [_seeded_plane_graph(seed) for seed in range(40)] + [
+            grid_patch(3, 3)]:
+        deg = {v: G.degree(v) for v in G.vertices}
+        for f in G.faces():
+            if f.degree != 4:
+                continue
+            for u in f.vertices:
+                if deg[u] != 4:
+                    continue
+                case = _r2_case(G, deg, u, f.vertices)
+                got = None if case is None else (R2_RATES[case],
+                                                 f"R2({case[0]})")
+                assert got == _ref_r2_amount_by_code(G, deg, u, f.vertices)
+                seen.add(case)
+    assert seen == set(R2_RATES) | {None}  # every sub-case, and a gap
+
+
+def test_min_corner_transfer_matches_reference():
+    for cs in _ALL_CORNERS:
+        ftype = face_type_of_classes(cs)
+        for i in range(4):
+            assert _min_corner_transfer(cs, i, ftype) == \
+                _ref_min_corner_transfer(cs, i, ftype), (cs, i)
