@@ -340,7 +340,6 @@ def _r2_case(G: PlaneGraph, deg: dict[int, int], u: int,
 class RuleOutput:
     transfers: list[TransferRecord]
     gaps: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
 
 def apply_rules(G: PlaneGraph) -> RuleOutput:
@@ -355,7 +354,6 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
     faces = G.faces()
     records: list[TransferRecord] = []
     gaps: list[str] = []
-    notes: list[str] = []
     deg = {v: G.degree(v) for v in G.vertices}
     klass = {v: (6, None) if d >= 6 else
              (d, sum(1 for w in G.neighbors(v) if deg[w] == 3))
@@ -378,7 +376,9 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
                 gaps.append(f"R1: {deg[w]}-vertex {w} sends nothing")
 
     # R2-R5, sender driven over incident 4-faces
-    below = set()  # corners of degree 2 or less, reported once each
+    # corners outside R2-R5, reported once each: degree 2 or less, or a
+    # 4-vertex with 3+ 3-neighbors
+    listed = set()
     for fi, f in enumerate(faces):
         if f.degree != 4:
             continue
@@ -390,19 +390,17 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
             if d == 3:
                 continue
             if d <= 2:
-                if u not in below:
-                    below.add(u)
+                if u not in listed:
+                    listed.add(u)
                     gaps.append(f"R2-R5: {d}-vertex {u} sends nothing")
                 continue
             if d == 4:
                 case = _r2_case(G, deg, u, corners)
                 if case is None:
-                    gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
+                    if u not in listed:
+                        listed.add(u)
+                        gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
                     continue
-                if case == "3both":
-                    notes.append(
-                        f"R2(3) at vertex {u}, face {fi}: the 3-neighbor's "
-                        f"3-neighbor occupies the corner opposite the sender")
                 records.append(TransferRecord(u, "f", fi, R2_RATES[case],
                                               f"R2({case[0]})"))
             else:
@@ -411,7 +409,7 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
                 amt, rule = heavy_rate(classes[i:] + classes[:i], ftype)
                 records.append(TransferRecord(u, "f", fi, amt, rule))
     records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
-    return RuleOutput(transfers=records, gaps=gaps, notes=notes)
+    return RuleOutput(transfers=records, gaps=gaps)
 
 
 @dataclass

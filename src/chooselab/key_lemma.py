@@ -23,7 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .multicolor import enumerate_assignments_canonical, find_coloring
+from .multicolor import (canonical_masks, coloring_search, find_coloring,
+                         lists_from_masks)
 from .plane import PlaneGraph, path_graph
 
 
@@ -171,20 +172,23 @@ _CASES = {
 def verify_case(case: str) -> CaseReport:
     """Check one component shape over every class of its canonical space.
 
-    The classes are streamed one at a time, never held in a list.
+    The classes are streamed one at a time as bitmasks, never held in a
+    list, and decided by one search set up for the shape; only colorable
+    classes are read as color sets, for psi.
     """
     if case not in _CASES:
         raise KeyError(case)
     G, construct = _CASES[case]
-    f = {v: 7 for v in G.vertices}
-    g4 = {v: 4 for v in G.vertices}
+    verts = sorted(G.vertices)
+    search = coloring_search(G, {v: 4 for v in verts})
     total = colorable = 0
     bad = []
-    for lists in enumerate_assignments_canonical(G, f):
+    for masks in canonical_masks(G, {v: 7 for v in verts}):
         total += 1
-        if find_coloring(G, lists, g4) is None:
+        if search(masks) is None:
             continue
         colorable += 1
+        lists = lists_from_masks(verts, masks)
         if construct(lists, G) is None:
             bad.append({"lists": {v: sorted(L) for v, L in lists.items()}})
     return CaseReport(case=case, classes_total=total,

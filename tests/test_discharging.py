@@ -193,6 +193,14 @@ def test_r1_senders_of_degree_2_send_nothing():
                                      for v in low)
 
 
+def test_r2_crowded_four_vertex_listed_once():
+    # the center 4 of the 3x3 grid patch has four 3-neighbors and sits on
+    # four 4-faces; it is one gap, not one per face
+    out = apply_rules(grid_patch(2, 2))
+    crowded = [g for g in out.gaps if g.startswith("R2: 4-vertex")]
+    assert crowded == ["R2: 4-vertex 4 has 3+ 3-neighbors"]
+
+
 def test_hex_pair_transfers_only_r1():
     G = hex_pair()
     assert G.is_triangle_free()
@@ -464,12 +472,13 @@ def _ref_r2_amount(G, u, f):
     return None
 
 
-def _ref_transfers(G) -> tuple[list, list, list]:
+def _ref_transfers(G) -> tuple[list, list]:
     """apply_rules as it read before the per-graph class tables: face_type
     and lambda_pattern per face and per corner, degrees read from G.  A
     vertex of degree 2 or less sends nothing by R1 (to a 3_0-vertex) or by
-    R2-R5 (as a 4-face corner), and is a gap once for each."""
-    records, gaps, notes = [], [], []
+    R2-R5 (as a 4-face corner), and is a gap once for each; a 4-vertex with
+    3+ 3-neighbors is a gap once."""
+    records, gaps = [], []
     for u in G.vertices:
         if G.degree(u) != 3:
             continue
@@ -504,13 +513,11 @@ def _ref_transfers(G) -> tuple[list, list, list]:
             if d == 4:
                 got = _ref_r2_amount(G, u, f)
                 if got is None:
-                    gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
+                    gap = f"R2: 4-vertex {u} has 3+ 3-neighbors"
+                    if gap not in gaps:
+                        gaps.append(gap)
                     continue
                 amt, rule = got
-                if rule == "R2(3)" and amt == HALF:
-                    notes.append(
-                        f"R2(3) at vertex {u}, face {fi}: the 3-neighbor's "
-                        f"3-neighbor occupies the corner opposite the sender")
                 records.append(TransferRecord(u, "f", fi, amt, rule))
             elif ftype is not None:
                 records.append(TransferRecord(u, "f", fi, (10 - ftype) * 2,
@@ -521,7 +528,7 @@ def _ref_transfers(G) -> tuple[list, list, list]:
                 tag, amt = classify_family(lambda_pattern(G, u, f))
                 records.append(TransferRecord(u, "f", fi, amt, f"R5[F{tag}]"))
     records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
-    return records, gaps, notes
+    return records, gaps
 
 
 def _seeded_plane_graph(seed: int) -> PlaneGraph:
@@ -558,7 +565,7 @@ def test_apply_rules_matches_per_corner_reference():
         G = _seeded_plane_graph(seed)
         assert G.is_triangle_free()
         out = apply_rules(G)
-        assert (out.transfers, out.gaps, out.notes) == _ref_transfers(G)
+        assert (out.transfers, out.gaps) == _ref_transfers(G)
         seen_classes.update(klass_of(G, v) for v in G.vertices)
         seen_rules.update(r.rule[:2] for r in out.transfers)
     # the sample reaches the classes outside ALL_CLASSES and every rule

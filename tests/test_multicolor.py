@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chooselab.multicolor import (EdgeConflict, NotInList, SizeShort,
-                                  TooLarge, _realize, choosable, colorable_ab,
+                                  TooLarge, choosable, colorable_ab,
                                   enumerate_assignments_canonical,
                                   find_coloring, validate_coloring)
 from chooselab.plane import (PlaneGraph, complete_bipartite, cycle_graph,
@@ -190,6 +190,19 @@ def _cell_vectors(subsets, remaining: dict[int, int], W: int):
             yield (n,) + tail
 
 
+def _realize(vec, subsets, verts) -> dict[int, frozenset[int]]:
+    lists: dict[int, set[int]] = {v: set() for v in verts}
+    color = 1
+    for S, n in zip(subsets, vec):
+        if n == 0:
+            continue
+        block = range(color, color + n)
+        color += n
+        for v in S:
+            lists[v].update(block)
+    return {v: frozenset(cs) for v, cs in lists.items()}
+
+
 def _reference_assignments(G, f):
     verts = sorted(G.vertices)
     subsets = sorted(S for r in range(1, len(verts) + 1)
@@ -236,6 +249,129 @@ def test_c5_not_2_choosable_with_constant_witness(n):
     assert not v.ok
     assert v.witness == {i: fs(1, 2) for i in range(n)}
     assert v.checked == 1
+
+
+def _loop_choosable(G, f, g, max_vectors=None):
+    """choosable as a loop over the public enumerator and find_coloring:
+    (ok, checked, witness), or TooLarge."""
+    checked = 0
+    try:
+        for lists in enumerate_assignments_canonical(G, f, max_vectors):
+            checked += 1
+            if find_coloring(G, lists, g) is None:
+                return False, checked, lists
+    except TooLarge:
+        return TooLarge
+    return True, checked, None
+
+
+def _verdict(G, f, g, max_vectors=None):
+    try:
+        v = choosable(G, f, g, max_vectors=max_vectors)
+    except TooLarge:
+        return TooLarge
+    return v.ok, v.checked, v.witness
+
+
+# the graphs and (f, g) of the benchmark's `lists` workload
+LISTS_GRAPHS = [
+    (cycle_graph(5), 2, 1), (complete_bipartite(2, 4), 2, 1),
+    (cycle_graph(4), 2, 1), (complete_bipartite(2, 3), 2, 1),
+    (cycle_graph(4), 3, 1), (complete_bipartite(1, 3), 3, 1),
+    (path_graph(3), 4, 2),
+]
+
+
+@pytest.mark.parametrize("G, f, g", LISTS_GRAPHS,
+                         ids=["C5", "K24", "C4", "K23", "C4-f3", "K13", "P3"])
+def test_choosable_matches_enumerate_and_find_coloring(G, f, g):
+    fm = {v: f for v in G.vertices}
+    gm = {v: g for v in G.vertices}
+    assert _verdict(G, f, g) == _loop_choosable(G, fm, gm)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_choosable_matches_enumerate_and_find_coloring_random(seed):
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randrange(1, 6)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    G = PlaneGraph(edges=edges, vertices=range(n))
+    f = {v: rng.randrange(0, 4) for v in G.vertices}
+    g = {v: rng.randrange(0, 3) for v in G.vertices}
+    # a cap keeps f = 3 on five vertices short, and checks that both
+    # sides stop at the same class
+    assert _verdict(G, f, g, 400) == _loop_choosable(G, f, g, 400)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6),
+       st.sampled_from([(1, 9), (-40, 40), (10 ** 12, 10 ** 12 + 60),
+                        (-10 ** 15, 10 ** 15)]))
+def test_find_coloring_any_color_ids(seed, span):
+    # sparse, large and negative ids: the colors are ranked into bits, so
+    # the verdict is the oracle's and the coloring is the one found for
+    # the same lists renamed 1, 2, ... in increasing order
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randrange(2, 6)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    G = PlaneGraph(edges=edges or [(0, 1)], vertices=range(n))
+    pool = sorted(rng.sample(range(*span), 7))
+    lists = {v: frozenset(rng.sample(pool, rng.randrange(0, 5)))
+             for v in G.vertices}
+    demand = {v: rng.randrange(0, 3) for v in G.vertices}
+    got = find_coloring(G, lists, demand)
+    want = _all_colorings_oracle(G, lists, demand)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert validate_coloring(G, lists, demand, got) == (True, None)
+    rank = {c: i + 1 for i, c in enumerate(pool)}
+    renamed = find_coloring(G, {v: frozenset(rank[c] for c in L)
+                                for v, L in lists.items()}, demand)
+    assert (renamed is None) == (got is None)
+    if got is not None:
+        assert list(renamed) == list(got)
+        assert renamed == {v: frozenset(rank[c] for c in C)
+                           for v, C in got.items()}
+
+
+def test_negative_demand_raises():
+    G = path_graph(2)
+    with pytest.raises(ValueError):
+        find_coloring(G, {0: fs(1), 1: fs(2)}, {0: -1, 1: 1})
+    with pytest.raises(ValueError):
+        choosable(G, 1, -1)
+
+
+def test_first_classes_do_not_build_a_whole_block(monkeypatch):
+    # block 0 of 12 vertices has 2,048 cells and, at W = 2, 2,047
+    # compositions; the first 20 classes need only the first few
+    from collections import Counter
+    from chooselab import multicolor
+
+    made = Counter()
+    compositions = multicolor._Blocks.compositions
+
+    def counting(self, j, rem, w_after):
+        for entry in compositions(self, j, rem, w_after):
+            made[j] += 1
+            yield entry
+
+    monkeypatch.setattr(multicolor._Blocks, "compositions", counting)
+    G = PlaneGraph(edges=[], vertices=range(12))
+    first = list(itertools.islice(
+        enumerate_assignments_canonical(G, _uniform(G, 1)), 20))
+    assert first[0] == {v: fs(1) for v in range(12)}
+    assert all(len(L) == 1 for lists in first for L in lists.values())
+    assert len({tuple(sorted(lists.items())) for lists in first}) == 20
+    assert made[0] <= 20
+    assert sum(made.values()) < 2048
 
 
 def test_c4_is_2_choosable():
