@@ -1,13 +1,12 @@
-"""Rotation systems, face tracing, and degree patterns.
+"""Rotation systems, face tracing, and degree classes.
 
 A plane graph is stored as a cyclic neighbor order per vertex.  Faces come
 out of dart tracing: from the dart (u, v) the walk continues to (v, w) with
 w the successor of u in the rotation at v.
 """
 
-from chooselab import (CyclePattern, PathPattern, build_plane_graph,
-                       consecutive, degree_class, match_pattern)
-from chooselab.plane import at_least, cube_graph, cycle_graph, exact
+from chooselab import build_plane_graph, consecutive, degree_class
+from chooselab.plane import cube_graph
 
 cube = cube_graph()
 print("cube:", len(cube.vertices), "vertices,", cube.num_edges(), "edges")
@@ -25,11 +24,3 @@ print("are 1 and 6 consecutive around 5?", consecutive(grid, 5, 1, 6))
 star = build_plane_graph({"edges": [[0, 1], [0, 2], [0, 3], [1, 4], [1, 5]]})
 c = degree_class(star, 0)
 print(f"\ncenter of the star is a {c.d}_{c.t}-vertex")
-
-# pattern matching: every (2,2,2)-path of a 4-cycle, once per direction
-c4 = cycle_graph(4)
-print("\n(2,2,2)-paths in C4:", match_pattern(c4, PathPattern((exact(2),) * 3)))
-print("(2,2,2,2)-cycles in C4:",
-      match_pattern(c4, CyclePattern((exact(2),) * 4)))
-print("(3+,3+)-paths in C4:",
-      match_pattern(c4, PathPattern((at_least(3), at_least(3)))))

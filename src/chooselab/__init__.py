@@ -1,14 +1,13 @@
 """chooselab: machinery checks for multi-fold list-coloring reduction proofs.
 
-Plane-graph substrate (rotation systems, face tracing, degree patterns),
+Plane-graph substrate (rotation systems, face tracing, degree classes),
 exhaustive multi-fold choosability at desk scale, a symbolic engine for
 reduction schemes, the reducible-configuration catalog, and exact
 discharging with rule-table audits.
 """
 
 from .plane import (PlaneGraph, Face, DegreeClass, build_plane_graph,
-                    trace_faces, degree_class, consecutive, match_pattern,
-                    PathPattern, CyclePattern)
+                    trace_faces, degree_class, consecutive)
 from .multicolor import (validate_coloring, find_coloring,
                          enumerate_assignments_canonical, choosable,
                          colorable_ab, TooLarge)

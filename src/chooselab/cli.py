@@ -36,9 +36,9 @@ def _int_or_map(spec: str):
     except ValueError:
         with open(spec) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError(f"{spec} is not a JSON object") from None
-        return {int(v): int(n) for v, n in data.items()}
+        if not (isinstance(data, dict) and all(map(_is_int, data.values()))):
+            raise ValueError(f"{spec} is not a JSON object of ints") from None
+        return {int(v): n for v, n in data.items()}
 
 
 def _bad_demand(name: str, x, G) -> str | None:

@@ -36,11 +36,7 @@ THREE_QUARTERS = 9
 FIVE_SIXTHS = 10
 ONE = 12
 SEVEN_SIXTHS = 14
-FOUR_THIRDS = 16
 THREE_HALVES = 18
-
-RULE_AMOUNTS = (SIXTH, THIRD, HALF, SEVEN_TWELFTHS, TWO_THIRDS, THREE_QUARTERS,
-                FIVE_SIXTHS, ONE, SEVEN_SIXTHS, FOUR_THIRDS, THREE_HALVES)
 
 
 def twelfths_str(x: int) -> str:

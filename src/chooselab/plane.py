@@ -1,4 +1,4 @@
-"""Plane graphs as rotation systems, plus face tracing and degree-pattern search.
+"""Plane graphs as rotation systems, plus face tracing and degree classes.
 
 A graph is given either by a rotation system (cyclic neighbor order per vertex,
 encoding a combinatorial embedding) or, in "abstract" mode, by an edge list.
@@ -261,99 +261,6 @@ def consecutive(G: PlaneGraph, u: int, x: int, y: int) -> bool:
         if z not in rot:
             raise NotNeighbor(f"{z} is not a neighbor of {u}")
     return G.succ(u, x) == y or G.succ(u, y) == x
-
-
-# -- degree patterns ----------------------------------------------------
-
-@dataclass(frozen=True)
-class DegreeConstraint:
-    """One entry of a path/cycle pattern.
-
-    kind: "exact" (degree d) or "atleast" (degree d or more).
-    """
-
-    kind: str
-    d: int
-
-    def matches(self, cls: DegreeClass) -> bool:
-        if self.kind == "exact":
-            return cls.d == self.d
-        if self.kind == "atleast":
-            return cls.d >= self.d
-        raise ValueError(f"bad constraint kind {self.kind!r}")
-
-
-def exact(d: int) -> DegreeConstraint:
-    return DegreeConstraint("exact", d)
-
-
-def at_least(d: int) -> DegreeConstraint:
-    return DegreeConstraint("atleast", d)
-
-
-@dataclass(frozen=True)
-class PathPattern:
-    constraints: tuple[DegreeConstraint, ...]
-
-    def __post_init__(self):
-        if len(self.constraints) < 2:
-            raise ValueError("path pattern needs length >= 2")
-
-
-@dataclass(frozen=True)
-class CyclePattern:
-    constraints: tuple[DegreeConstraint, ...]
-
-    def __post_init__(self):
-        if len(self.constraints) < 3:
-            raise ValueError("cycle pattern needs length >= 3")
-
-
-def match_pattern(G: PlaneGraph, pattern: PathPattern | CyclePattern) -> list[tuple[int, ...]]:
-    """All simple paths/cycles whose vertex degree classes satisfy the pattern.
-
-    Matches are direction-canonical: a path is reported once as the lex-least
-    of its two orientations, a cycle once as the lex-least rotation/reflection.
-    """
-    cons = pattern.constraints
-    k = len(cons)
-    classes = {v: degree_class(G, v) for v in G.vertices}
-    is_cycle = isinstance(pattern, CyclePattern)
-    found: set[tuple[int, ...]] = set()
-
-    def extend(seq: list[int]) -> None:
-        i = len(seq)
-        if i == k:
-            if is_cycle:
-                if not G.has_edge(seq[-1], seq[0]):
-                    return
-                found.add(_canonical_cycle(tuple(seq)))
-            else:
-                found.add(min(tuple(seq), tuple(reversed(seq))))
-            return
-        for w in sorted(G.neighbors(seq[-1])):
-            if w in seq:
-                continue
-            if cons[i].matches(classes[w]):
-                seq.append(w)
-                extend(seq)
-                seq.pop()
-
-    for v in G.vertices:
-        if cons[0].matches(classes[v]):
-            extend([v])
-    return sorted(found)
-
-
-def _canonical_cycle(seq: tuple[int, ...]) -> tuple[int, ...]:
-    best = None
-    k = len(seq)
-    for s in (seq, tuple(reversed(seq))):
-        for i in range(k):
-            cand = s[i:] + s[:i]
-            if best is None or cand < best:
-                best = cand
-    return best  # type: ignore[return-value]
 
 
 # -- fixture helpers ----------------------------------------------------

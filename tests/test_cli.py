@@ -324,8 +324,12 @@ def test_negative_demand_rejected(tmp_path, capsys, c5_file, which):
 
 @pytest.mark.parametrize("fmap", [{"0": 2, "1": 2, "2": 2, "3": 2},
                                   {str(v): 2 for v in range(6)}, [2] * 5,
-                                  {str(v): [2] for v in range(5)}],
-                         ids=["missing", "extra", "array", "list-value"])
+                                  {str(v): [2] for v in range(5)},
+                                  {**{str(v): 2 for v in range(4)}, "4": 2.7},
+                                  {**{str(v): 2 for v in range(4)}, "4": True},
+                                  {**{str(v): 2 for v in range(4)}, "4": "3"}],
+                         ids=["missing", "extra", "array", "list-value",
+                              "float", "bool", "string"])
 def test_bad_f_map_rejected(tmp_path, capsys, c5_file, fmap):
     p = tmp_path / "f.json"
     p.write_text(json.dumps(fmap))

@@ -10,11 +10,11 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    CLASS_DOMAIN, EXCLUSIONS, FAMILIES, FIVES,
                                    Finding, R2_RATES, Scenario, _consistent,
                                    _min_corner_transfer, _r2_case,
-                                   compile_pattern, FIVE_SIXTHS, FOUR_THIRDS,
-                                   HALF, ONE, RULE_AMOUNTS, SEVEN_SIXTHS,
-                                   SEVEN_TWELFTHS, SIXTH, THIRD, THREE_HALVES,
-                                   THREE_QUARTERS, TWO_THIRDS, TransferRecord,
-                                   apply_rules, audit_case_ledger,
+                                   compile_pattern, FIVE_SIXTHS, HALF, ONE,
+                                   SEVEN_SIXTHS, SEVEN_TWELFTHS, SIXTH, THIRD,
+                                   THREE_HALVES, THREE_QUARTERS, TWO_THIRDS,
+                                   TransferRecord, apply_rules,
+                                   audit_case_ledger,
                                    audit_family_partition,
                                    audit_inequality_6plus,
                                    audit_transfer_observations,
@@ -30,7 +30,6 @@ from chooselab.plane import (PlaneGraph, consecutive, cube_graph,
 
 
 def test_rule_amounts_are_integer_twelfths():
-    assert RULE_AMOUNTS == (2, 4, 6, 7, 8, 9, 10, 12, 14, 16, 18)
     assert twelfths_str(SEVEN_TWELFTHS) == "7/12"
     assert twelfths_str(-240) == "-20"
 

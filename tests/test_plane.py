@@ -1,14 +1,10 @@
-import itertools
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from chooselab.plane import (AsymmetricRotation, CyclePattern, DuplicateNeighbor,
-                             NotNeighbor, NotQuadFace, PathPattern, PlaneGraph,
-                             SelfLoop, UnknownVertex, build_plane_graph,
+from chooselab.plane import (AsymmetricRotation, DuplicateNeighbor,
+                             NotNeighbor, NotQuadFace, PlaneGraph, SelfLoop,
+                             UnknownVertex, build_plane_graph,
                              complete_bipartite, consecutive, cube_graph,
-                             cycle_graph, degree_class, dodecahedron_graph,
-                             exact, grid_patch, match_pattern,
+                             degree_class, dodecahedron_graph, grid_patch,
                              path_graph, trace_faces)
 
 
@@ -114,60 +110,6 @@ def test_consecutive():
     assert consecutive(G, 0, 4, 1)  # cyclic wrap
     with pytest.raises(NotNeighbor):
         consecutive(G, 0, 1, 99)
-
-
-def test_match_pattern_on_c4():
-    G = cycle_graph(4)
-    hits = match_pattern(G, PathPattern((exact(2), exact(2), exact(2))))
-    assert len(hits) == 4
-    assert all(len(p) == 3 for p in hits)
-
-
-def test_match_pattern_empty():
-    G = cycle_graph(5)
-    assert match_pattern(G, PathPattern((exact(3), exact(3), exact(3)))) == []
-
-
-def test_match_cycle_pattern():
-    G = cycle_graph(4)
-    hits = match_pattern(G, CyclePattern((exact(2),) * 4))
-    assert len(hits) == 1
-
-
-def test_match_pattern_class_constraints():
-    # plant one (3,3,4,3)-path: 1-0-2-3 with the right degrees
-    G = PlaneGraph(edges=[(0, 1), (0, 2), (0, 5), (2, 3), (2, 4), (2, 6),
-                          (1, 7), (1, 8), (3, 9), (3, 10)])
-    pat = PathPattern((exact(3), exact(3), exact(4), exact(3)))
-    hits = match_pattern(G, pat)
-    assert hits == [(1, 0, 2, 3)]
-
-
-def _naive_paths(G, degs):
-    classes = {v: degree_class(G, v).d for v in G.vertices}
-    found = set()
-    for perm in itertools.permutations(G.vertices, len(degs)):
-        if all(classes[v] == d for v, d in zip(perm, degs)):
-            if all(G.has_edge(a, b) for a, b in zip(perm, perm[1:])):
-                found.add(min(perm, tuple(reversed(perm))))
-    return sorted(found)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10 ** 6))
-def test_match_pattern_agrees_with_naive_dfs(seed):
-    import random
-
-    rng = random.Random(seed)
-    n = rng.randrange(4, 9)
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.4]
-    if not edges:
-        edges = [(0, 1)]
-    G = PlaneGraph(edges=edges)
-    degs = [rng.randrange(1, 4) for _ in range(3)]
-    pat = PathPattern(tuple(exact(d) for d in degs))
-    assert match_pattern(G, pat) == _naive_paths(G, degs)
 
 
 def test_abstract_mode_and_json_roundtrip():
