@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -321,8 +322,15 @@ def make_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main rather than at import, so
+    a cold start does not pay for it; in-process callers then reuse it."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

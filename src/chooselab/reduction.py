@@ -17,7 +17,8 @@ Pair saves (and assumed three-set splits) are branch points: the split
 (s, t, r) with s + t + r = k is resolved at the three corners (k,0,0),
 (0,k,0), (0,0,k).  Downstream inequalities are affine in the split, so
 corner legality covers every split; run_scheme_all_splits verifies that
-directly when wanted.
+directly when wanted.  Both walk the tree of branches depth first, so each
+step runs once per distinct split prefix, not once per branch.
 
 Each step kind is one class that holds everything about it: its JSON op
 name, whether it is a branch point, its symbolic effect, its concrete
@@ -42,9 +43,16 @@ class NodeCapReached(SchemeError):
 
 # -- state ----------------------------------------------------------------
 
+def _sorted_adj(G: PlaneGraph, verts: set[int]) -> dict[int, tuple[int, ...]]:
+    """Each vertex's neighbors within verts, in ascending order."""
+    return {v: tuple(sorted(G.neighbors(v) & verts)) for v in verts}
+
+
 class _Live:
+    """`adj` maps each vertex to its sorted neighbors in the configuration."""
+
     def live_neighbors(self, v: int) -> list[int]:
-        return [w for w in sorted(self.adj[v]) if w in self.live]
+        return [w for w in self.adj[v] if w in self.live]
 
     def deletion_need(self, u: int) -> int:
         """g(u) plus g over the live neighbors of u: what DegDel(u) needs."""
@@ -56,7 +64,7 @@ class _Live:
                 raise SchemeError(f"{step}: vertex {x} is not in the configuration")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SetVar:
     size: int
     containers: frozenset[int]
@@ -67,7 +75,7 @@ class SetVar:
 class SymbolicState(_Live):
     """Worst-case bounds, in units of m, for a triple under reduction."""
 
-    adj: dict[int, frozenset[int]]
+    adj: dict[int, tuple[int, ...]]
     live: set[int]
     lo: dict[int, int]
     hi: dict[int, int]
@@ -79,9 +87,8 @@ class SymbolicState(_Live):
     def from_profile(G: PlaneGraph, profile: dict[int, tuple[int, int]],
                      m: int = 1) -> "SymbolicState":
         lo = {v: f * m for v, (f, _) in profile.items()}
-        return SymbolicState({v: G.neighbors(v) & set(profile) for v in profile},
-                             set(profile), lo, dict(lo),
-                             {v: g * m for v, (_, g) in profile.items()})
+        return SymbolicState(_sorted_adj(G, set(profile)), set(profile), lo,
+                             dict(lo), {v: g * m for v, (_, g) in profile.items()})
 
     def copy(self) -> "SymbolicState":
         return SymbolicState(self.adj, set(self.live), dict(self.lo),
@@ -91,7 +98,7 @@ class SymbolicState(_Live):
 
 @dataclass
 class ConcreteState(_Live):
-    adj: dict[int, frozenset[int]]
+    adj: dict[int, tuple[int, ...]]
     live: set[int]
     lists: dict[int, frozenset[int]]
     g: dict[int, int]
@@ -101,9 +108,8 @@ class ConcreteState(_Live):
     def from_assignment(G: PlaneGraph, lists: dict[int, frozenset[int]],
                         demand: dict[int, int]) -> "ConcreteState":
         verts = set(lists)
-        adj = {v: G.neighbors(v) & verts for v in verts}
-        return ConcreteState(adj=adj, live=set(verts), lists=dict(lists),
-                             g=dict(demand))
+        return ConcreteState(adj=_sorted_adj(G, verts), live=verts,
+                             lists=dict(lists), g=dict(demand))
 
     def copy(self) -> "ConcreteState":
         return ConcreteState(self.adj, set(self.live), dict(self.lists),
@@ -684,20 +690,6 @@ STEP_KINDS = {kind.op: kind for kind in (Delete, Save, PairSave, Color,
 
 # -- symbolic execution ----------------------------------------------------
 
-def _run_combo(state: SymbolicState, steps: list[Step],
-               splits: tuple[tuple[int, int, int], ...], label: tuple[str, ...],
-               m: int, flags: list[str]) -> BranchTrace:
-    st = state.copy()
-    trace = BranchTrace(corners=label)
-    split_iter = iter(splits)
-    for step in steps:
-        split = next(split_iter) if step.branch_point else None
-        if not step.effect(st, split, m, trace.records, flags):
-            break
-    trace.all_deleted = not st.live
-    return trace
-
-
 # split spaces: the (split, label) pairs that resolve one branch point of size k
 
 def _corners(k: int) -> list[tuple[tuple[int, int, int], str]]:
@@ -711,14 +703,39 @@ def _all_splits(k: int) -> list[tuple[tuple[int, int, int], str]]:
 
 def _run_space(state: SymbolicState, steps: list[Step], m: int,
                space: Callable[[int], list]) -> SchemeTrace:
-    """One branch per choice of a (split, label) pair at each branch point."""
+    """One branch per choice of a (split, label) pair at each branch point,
+    in itertools.product order.
+
+    A depth-first walk on an explicit stack.  An entry holds the index of
+    the next step, the state and records before it, the labels chosen so
+    far and, at a branch point, the split that resolves it.  Each step runs
+    once per distinct split prefix; each split starts from its own copy of
+    the state and of the records.  A prefix that halts stands for every
+    resolution of the branch points after it.
+    """
     flags: list[str] = []
     spaces = [space(s.k * m) for s in steps if s.branch_point]
     branches = []
-    for combo in itertools.product(*spaces):
-        splits = tuple(sp for sp, _ in combo)
-        label = tuple(lab for _, lab in combo)
-        branches.append(_run_combo(state, steps, splits, label, m, flags))
+    stack = [(0, state, [], (), None)]
+    while stack:
+        i, st, records, label, split = stack.pop()
+        st, records = st.copy(), list(records)
+        while i < len(steps):
+            step = steps[i]
+            if step.branch_point and split is None:
+                stack.extend((i, st, records, (*label, lab), sp)
+                             for sp, lab in reversed(spaces[len(label)]))
+                break
+            i += 1
+            if not step.effect(st, split, m, records, flags):
+                branches.extend(
+                    BranchTrace((*label, *(lab for _, lab in rest)),
+                                list(records), not st.live)
+                    for rest in itertools.product(*spaces[len(label):]))
+                break
+            split = None
+        else:
+            branches.append(BranchTrace(label, records, not st.live))
     return SchemeTrace(branches=branches, flags=sorted(set(flags)))
 
 

@@ -2,6 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -159,6 +163,45 @@ def test_schemes_run_concrete(tmp_path, capsys):
     p = tmp_path / "scheme.json"
     p.write_text(json.dumps(cfg))
     assert main(["schemes", "run", "--config", str(p)]) == 0
+
+
+def _fresh(argv):
+    """`chooselab ARGV` in a new interpreter: (exit code, stdout)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "chooselab.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    return proc.returncode, proc.stdout
+
+
+def test_main_reuses_its_parser(capsys):
+    """main keeps one parser per process; later calls, after a usage
+    error too, parse and print as fresh ones do, to the current streams."""
+    argvs = [["verify-claims", "--claim", "star", "--scale", s, "--report",
+              "json"] for s in ("2", "1")]
+    reused = []
+    for argv in argvs:
+        rc = main(argv)
+        reused.append((rc, capsys.readouterr().out))
+    assert reused == [_fresh(argv) for argv in argvs]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-claims", "--scale", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    assert main(argvs[1]) == 0
+    assert (0, capsys.readouterr().out) == reused[1]
+
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit):
+        main(["no-such-command"])
+    assert "invalid choice" in err.getvalue()
+    assert capsys.readouterr().err == ""
+    with pytest.raises(SystemExit) as exc:
+        main(["schemes", "run", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_verify_claims_literal_strict(capsys):

@@ -1,16 +1,22 @@
+import dataclasses
 import itertools
+import math
+from typing import Callable
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from chooselab.claims import build_claim, initial_state, list_claims
 from chooselab.multicolor import enumerate_assignments_canonical
-from chooselab.plane import PlaneGraph, path_graph
+from chooselab.plane import PlaneGraph, cycle_graph, path_graph
 from chooselab.reduction import (AssumeSet, AssumeThreeSets, BoundViolated,
-                                 Color, ConcreteState, Delete, PairSave, Save,
-                                 SymbolicState, run_scheme,
-                                 run_scheme_all_splits, run_scheme_concrete,
-                                 step_from_json, step_to_json,
-                                 three_sets_feasible, three_sets_pick)
+                                 BranchTrace, Color, ConcreteState, Delete,
+                                 PairSave, Save, SchemeError, SchemeTrace,
+                                 SetVar, Step, SymbolicState, _all_splits,
+                                 _corners, run_scheme, run_scheme_all_splits,
+                                 run_scheme_concrete, step_from_json,
+                                 step_to_json, three_sets_feasible,
+                                 three_sets_pick)
 
 
 def fs(*xs):
@@ -295,3 +301,150 @@ def test_step_json_roundtrip():
              ]
     for s in steps:
         assert step_from_json(step_to_json(s)) == s
+
+
+# -- the branch walk against the per-leaf replay -----------------------------------
+
+# The replay that the branch walk in reduction._run_space replaced, kept as the
+# reference: every branch runs all its steps from the initial state.
+
+def _run_combo(state: SymbolicState, steps: list[Step],
+               splits: tuple[tuple[int, int, int], ...], label: tuple[str, ...],
+               m: int, flags: list[str]) -> BranchTrace:
+    st = state.copy()
+    trace = BranchTrace(corners=label)
+    split_iter = iter(splits)
+    for step in steps:
+        split = next(split_iter) if step.branch_point else None
+        if not step.effect(st, split, m, trace.records, flags):
+            break
+    trace.all_deleted = not st.live
+    return trace
+
+
+def _run_space(state: SymbolicState, steps: list[Step], m: int,
+               space: Callable[[int], list]) -> SchemeTrace:
+    """One branch per choice of a (split, label) pair at each branch point."""
+    flags: list[str] = []
+    spaces = [space(s.k * m) for s in steps if s.branch_point]
+    branches = []
+    for combo in itertools.product(*spaces):
+        splits = tuple(sp for sp, _ in combo)
+        label = tuple(lab for _, lab in combo)
+        branches.append(_run_combo(state, steps, splits, label, m, flags))
+    return SchemeTrace(branches=branches, flags=sorted(set(flags)))
+
+
+_WALKS = [(run_scheme, _corners), (run_scheme_all_splits, _all_splits)]
+
+
+def _outcome(run, *args):
+    """The trace as a dict, or the SchemeError it raises (type and message)."""
+    try:
+        return run(*args).as_dict()
+    except SchemeError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_walk_matches_per_leaf_replay_on_catalog(m):
+    for c in list_claims():
+        for name in c["variants"]:
+            bv = build_claim(c["id"], name)
+            for steps in (bv.scheme, bv.literal or []):
+                for walk, space in _WALKS:
+                    state = initial_state(bv, m)
+                    assert (walk(state, steps, m).as_dict()
+                            == _run_space(state, steps, m, space).as_dict()), \
+                        (c["id"], name, walk.__name__)
+
+
+def test_set_vars_are_frozen():
+    # sibling branches share the SetVar objects of their common prefix
+    var = SetVar(1, frozenset({0}), frozenset())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        var.size = 2
+
+
+# The fuzz runs on C5 (edges 0-1, 1-2, 2-3, 3-4, 4-0); vertex 5 is outside it.
+_C5 = cycle_graph(5)
+_EVEN = {v: (9, 2) for v in range(5)}
+_V = st.integers(0, 4)
+_K = st.integers(1, 2)
+_SET = st.sampled_from(["A", "B", "S", "T", "R", "S0", "T2"])
+_FUZZ_STEP = st.one_of(
+    st.builds(Delete, _V),
+    st.builds(Save, _V, _V, _K),
+    st.builds(lambda u1, d, v, k: PairSave(u1, (u1 + d) % 5, v, k), _V,
+              st.integers(1, 4), _V, _K),
+    st.builds(AssumeSet, st.sampled_from("AB"), st.integers(0, 2),
+              st.lists(st.integers(0, 5), max_size=2).map(tuple),
+              avoids=st.lists(_V, max_size=1).map(tuple)),
+    st.dictionaries(st.integers(0, 4), st.lists(_SET, min_size=1, max_size=2),
+                    min_size=1, max_size=2).map(Color.of),
+    st.builds(AssumeThreeSets, st.just("S"), st.just("T"), st.just("R"), _V,
+              _V, _V, _K, minus=st.sampled_from([(), ("A",)]),
+              z_cap=st.sampled_from([None, 3])),
+)
+_PROFILE = st.fixed_dictionaries({v: st.tuples(st.integers(2, 10),
+                                               st.integers(1, 3))
+                                  for v in range(5)})
+
+# each shape the walk must get right, on the profile _EVEN
+_HALT_BEFORE_BRANCH = [Save(0, 1), PairSave(0, 2, 1), Delete(0)]
+_HALT_BETWEEN_BRANCHES = [PairSave(0, 2, 1), Save(3, 4), PairSave(3, 0, 4),
+                          Delete(1)]
+_THREE_BRANCH_POINTS = [PairSave(0, 2, 1), PairSave(1, 3, 2),
+                        AssumeThreeSets("S", "T", "R", 3, 0, 4), Delete(4),
+                        Delete(1)]
+# T2 is declared only where t > 0 and S0 only where s > 0, so the corners
+# raise different messages: the first branch in product order must win
+_RAISES_BY_BRANCH = [PairSave(0, 2, 1), Color.of({3: ("T2",)}),
+                     Color.of({4: ("S0",)})]
+
+
+def _halts(steps, splits):
+    """Where one branch stops: the index of its halting step, the SchemeError
+    message it raises, or None if it runs every step."""
+    st, split_iter = SymbolicState.from_profile(_C5, _EVEN), iter(splits)
+    for i, step in enumerate(steps):
+        split = next(split_iter) if step.branch_point else None
+        try:
+            if not step.effect(st, split, 1, [], []):
+                return i
+        except SchemeError as exc:
+            return str(exc)
+    return None
+
+
+def test_fuzz_examples_have_their_shapes():
+    def every_branch(steps):
+        spaces = [_corners(s.k) for s in steps if s.branch_point]
+        return [_halts(steps, [sp for sp, _ in combo])
+                for combo in itertools.product(*spaces)]
+
+    assert set(every_branch(_HALT_BEFORE_BRANCH)) == {0}
+    assert set(every_branch(_HALT_BETWEEN_BRANCHES)) == {1}
+    assert set(every_branch(_THREE_BRANCH_POINTS)) == {None}
+    assert every_branch(_RAISES_BY_BRANCH)[:2] == [
+        "<color 3:T2>: set T2 is not declared",
+        "<color 4:S0>: set S0 is not declared"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(_FUZZ_STEP, max_size=10), profile=_PROFILE,
+       m=st.integers(1, 2))
+@example(steps=_HALT_BEFORE_BRANCH, profile=_EVEN, m=1)
+@example(steps=_HALT_BETWEEN_BRANCHES, profile=_EVEN, m=1)
+@example(steps=_THREE_BRANCH_POINTS, profile=_EVEN, m=2)
+@example(steps=_RAISES_BY_BRANCH, profile=_EVEN, m=1)
+def test_walk_matches_per_leaf_replay_fuzz(steps, profile, m):
+    """Same branches, records, flags and labels as the per-leaf replay, or
+    the same SchemeError.  Sharing one records list between sibling
+    branches fails this test."""
+    assume(math.prod(len(_all_splits(s.k * m)) for s in steps
+                     if s.branch_point) <= 400)
+    state = SymbolicState.from_profile(_C5, profile, m)
+    for walk, space in _WALKS:
+        assert (_outcome(walk, state, steps, m)
+                == _outcome(_run_space, state, steps, m, space))
