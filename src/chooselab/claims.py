@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import functools
 import json
-import random
 from dataclasses import dataclass, field
 from importlib import resources
 
 from .nice import is_nice, profile
 from .plane import PlaneGraph
-from .reduction import (ConcreteState, NodeCapReached, SchemeTrace, Step,
-                        SymbolicState, run_scheme, run_scheme_concrete,
+from .reduction import (SchemeTrace, Step, SymbolicState, run_scheme,
                         step_from_json)
 
 
@@ -293,41 +291,3 @@ def verify_all(m: int = 1, exclude: tuple[str, ...] = ()) -> CatalogSummary:
             continue
         reports.append(verify_claim(cid, m))
     return CatalogSummary(reports=reports, skipped=skipped)
-
-
-# -- concrete spot checks -------------------------------------------------------
-
-
-def sample_assignment(bv: BuiltVariant, seed: int
-                      ) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
-    """A pseudo-random concrete assignment matching the variant's size profile.
-
-    Colors are drawn from a shared pool biased toward overlap, the adversarial
-    direction for reduction schemes.
-    """
-    rng = random.Random(seed)
-    fg = _fg(bv)
-    big = max(f for f, _ in fg.values())
-    colors = range(1, big + rng.randrange(0, 1 + big) + 1)
-    lists = {v: frozenset(rng.sample(colors, fg[v][0])) for v in sorted(fg)}
-    return lists, {v: g for v, (_, g) in fg.items()}
-
-
-def concrete_cross_check(bv: BuiltVariant, samples: int = 20,
-                         seed: int = 20260809) -> tuple[list[int], list[int]]:
-    """Replay the scheme concretely on sampled assignments.
-
-    Returns the indices of the failing samples (no choices complete the
-    scheme) and of the capped ones (the node cap stopped the search first).
-    Both are empty when every sample corroborates the symbolic verdict.
-    """
-    failed, capped = [], []
-    for i in range(samples):
-        st = ConcreteState.from_assignment(bv.graph,
-                                           *sample_assignment(bv, seed + i))
-        try:
-            if run_scheme_concrete(st, bv.scheme) is None:
-                failed.append(i)
-        except NodeCapReached:
-            capped.append(i)
-    return failed, capped

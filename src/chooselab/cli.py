@@ -24,6 +24,9 @@ from .reduction import (ConcreteState, SchemeError, SymbolicState,
                         run_scheme, run_scheme_concrete, step_from_json)
 
 SCHEMA_VERSION = 1
+# symbolic `schemes run` replays 3^n corner branches for n branch points and
+# holds them all before printing; the catalog's schemes have at most 2
+MAX_BRANCH_POINTS = 8
 
 
 def _load_graph(path: str):
@@ -231,6 +234,11 @@ def cmd_schemes_run(args) -> int:
             prof = _vertex_map(cfg, "profile", lambda fg: isinstance(fg, list)
                                and len(fg) == 2 and all(map(_nat, fg)),
                                "a pair [f, g] of ints >= 0")
+            points = sum(s.branch_point for s in steps)
+            if points > MAX_BRANCH_POINTS:
+                raise ValueError(f"{points} branch points would replay "
+                                 f"3^{points} corner branches; at most "
+                                 f"{MAX_BRANCH_POINTS} are allowed")
         elif mode == "concrete":
             lists = _vertex_map(cfg, "lists", lambda c: isinstance(c, list)
                                 and all(map(_is_int, c)),

@@ -35,8 +35,6 @@ TWO_THIRDS = 8
 THREE_QUARTERS = 9
 FIVE_SIXTHS = 10
 ONE = 12
-SEVEN_SIXTHS = 14
-THREE_HALVES = 18
 
 
 def twelfths_str(x: int) -> str:

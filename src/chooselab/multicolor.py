@@ -101,6 +101,15 @@ def coloring_search(G: PlaneGraph, demand: dict[int, int],
     mask), ...] in the order the vertices were colored, or None if no
     coloring exists.
 
+    The function remembers the last coloring its search found, and first
+    tries to repair it: each vertex whose color set still lies in its new
+    list keeps it, and the others, in the last frame order, take the g(v)
+    lowest colors of their list that no neighbor holds now.  A repaired
+    coloring keeps the last frame order and is not remembered.  If some
+    vertex is left with too few colors, the search below runs unchanged;
+    only it answers None, so the repair moves no verdict, and a None
+    leaves the remembered coloring as it was.
+
     The next vertex is the uncolored one with the least slack
     |avail(v)| - g(v), ties going to the one with the most colored
     neighbors (Brélaz's DSATUR rule), then to the smallest id.  Its color
@@ -123,12 +132,44 @@ def coloring_search(G: PlaneGraph, demand: dict[int, int],
         raise ValueError("a demand must not be negative")
     nbrs = [[index[w] for w in G.neighbors(v)] for v in verts]
     heappush, heappop = heapq.heappush, heapq.heappop
+    last: list[tuple[int, int]] = []    # frames the full search found last
 
     def search(lists: Sequence[int]) -> list[tuple[int, int]] | None:
-        avail = list(lists)
-        for m, k in zip(avail, need):
+        nonlocal last
+        for m, k in zip(lists, need):
             if m.bit_count() < k:
                 return None
+        if last:
+            frames = repair(lists)
+            if frames is not None:
+                return frames
+        frames = dfs(lists)
+        if frames is not None:
+            last = frames
+        return frames
+
+    def repair(lists: Sequence[int]) -> list[tuple[int, int]] | None:
+        cur = [0] * n
+        redo = []
+        for v, m in last:
+            if m & ~lists[v]:
+                redo.append(v)
+            else:
+                cur[v] = m
+        for v in redo:
+            avail = lists[v]
+            for w in nbrs[v]:
+                avail &= ~cur[w]
+            rest = avail
+            for _ in range(need[v]):
+                if not rest:
+                    return None
+                rest &= rest - 1
+            cur[v] = avail ^ rest
+        return [(v, cur[v]) for v, _ in last]
+
+    def dfs(lists: Sequence[int]) -> list[tuple[int, int]] | None:
+        avail = list(lists)
         colored = [0] * n           # how many neighbors have a frame
         chosen: list[int | None] = [None] * n
         heap = [(avail[v].bit_count() - need[v], 0, v) for v in range(n)]
@@ -474,7 +515,9 @@ def choosable(G: PlaneGraph, f: dict[int, int] | int, g: dict[int, int] | int,
     """Decide (f, g)-choosability by exhausting canonical list assignments.
 
     "no" comes with the first failing assignment in the canonical order
-    (the lexicographically least witness).
+    (the lexicographically least witness).  One search decides every
+    class, so most classes are settled by repairing the coloring found for
+    an earlier one; a class fails only when the full search finds none.
     """
     search = coloring_search(G, _as_map(G, g))
     checked = 0

@@ -1,12 +1,14 @@
+import random
+
 import pytest
 
-from chooselab.claims import (UnknownClaim, build_claim,
-                              claim_ids, concrete_cross_check, golden_catalog,
-                              initial_state, list_claims, verify_all,
-                              verify_claim)
+from chooselab.claims import (BuiltVariant, UnknownClaim, _fg, build_claim,
+                              claim_ids, golden_catalog, initial_state,
+                              list_claims, verify_all, verify_claim)
 from chooselab.nice import NotNice, profile
 from chooselab.plane import PlaneGraph
-from chooselab.reduction import (ConcreteState, SymbolicState, run_scheme,
+from chooselab.reduction import (ConcreteState, NodeCapReached,
+                                 SymbolicState, run_scheme,
                                  run_scheme_all_splits, run_scheme_concrete,
                                  step_from_json, step_to_json)
 
@@ -289,6 +291,46 @@ def test_assumed_steps_are_pinned():
             assert steps == want, (cid, v.name, steps)
 
 
+# -- concrete spot checks -------------------------------------------------------
+
+
+def sample_assignment(bv: BuiltVariant, seed: int
+                      ) -> tuple[dict[int, frozenset[int]], dict[int, int]]:
+    """A pseudo-random concrete assignment matching the variant's size profile.
+
+    Colors are drawn from a shared pool biased toward overlap, the adversarial
+    direction for reduction schemes.
+    """
+    rng = random.Random(seed)
+    fg = _fg(bv)
+    big = max(f for f, _ in fg.values())
+    colors = range(1, big + rng.randrange(0, 1 + big) + 1)
+    lists = {v: frozenset(rng.sample(colors, fg[v][0])) for v in sorted(fg)}
+    return lists, {v: g for v, (_, g) in fg.items()}
+
+
+def concrete_cross_check(bv: BuiltVariant, samples: int = 20,
+                         seed: int = 20260809, **caps
+                         ) -> tuple[list[int], list[int]]:
+    """Replay the scheme concretely on sampled assignments.
+
+    Returns the indices of the failing samples (no choices complete the
+    scheme) and of the capped ones (the node cap stopped the search first).
+    Both are empty when every sample corroborates the symbolic verdict.
+    `caps` go to run_scheme_concrete.
+    """
+    failed, capped = [], []
+    for i in range(samples):
+        st = ConcreteState.from_assignment(bv.graph,
+                                           *sample_assignment(bv, seed + i))
+        try:
+            if run_scheme_concrete(st, bv.scheme, **caps) is None:
+                failed.append(i)
+        except NodeCapReached:
+            capped.append(i)
+    return failed, capped
+
+
 def test_concrete_cross_check_samples():
     """Sampled concrete replays corroborate the symbolic verdicts on the
     non-minimality claims: no sample fails and none stops at the node cap."""
@@ -300,15 +342,10 @@ def test_concrete_cross_check_samples():
             assert failed == [] and capped == [], (cid, name, failed, capped)
 
 
-def test_concrete_cross_check_reports_capped_apart(monkeypatch):
+def test_concrete_cross_check_reports_capped_apart():
     """A node-cap stop is reported as capped, not as a failed sample."""
-    from chooselab import claims, reduction
-
-    def capped_run(state, steps):
-        return reduction.run_scheme_concrete(state, steps, node_cap=1)
-    monkeypatch.setattr(claims, "run_scheme_concrete", capped_run)
-    assert concrete_cross_check(build_claim("star", "k=3"), samples=3) \
-        == ([], [0, 1, 2])
+    assert concrete_cross_check(build_claim("star", "k=3"), samples=3,
+                                node_cap=1) == ([], [0, 1, 2])
 
 
 # -- the documented discrepancy -----------------------------------------------

@@ -256,6 +256,19 @@ def test_schemes_run_undeclared_set(tmp_path, capsys, cfg):
     _assert_input_error(_run_config(tmp_path, cfg), capsys)
 
 
+def test_schemes_run_too_many_branch_points(tmp_path, capsys):
+    """12 pair saves would replay 3^12 corner branches: exit 2 before any
+    replay; the bound's own value still runs."""
+    def cfg(n):
+        return {"graph": {"edges": [[0, 2], [2, 1]]},
+                "profile": {"0": [60, 30], "1": [60, 30], "2": [40, 4]},
+                "steps": [{"op": "pair_save", "u1": 0, "u2": 1, "v": 2,
+                           "k": 1}] * n
+                + [{"op": "delete", "u": u} for u in (2, 0, 1)]}
+    _assert_input_error(_run_config(tmp_path, cfg(12)), capsys)
+    assert _run_config(tmp_path, cfg(2)) in (0, 1)
+
+
 def test_max_cells_env(monkeypatch, capsys, c4_file):
     args = ["check-choosability", "--graph", c4_file, "--f", "2", "--g", "1"]
     for spelling in ("1e8", "100000000"):

@@ -11,8 +11,8 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    Finding, R2_RATES, Scenario, _consistent,
                                    _min_corner_transfer, _r2_case,
                                    compile_pattern, FIVE_SIXTHS, HALF, ONE,
-                                   SEVEN_SIXTHS, SEVEN_TWELFTHS, SIXTH, THIRD,
-                                   THREE_HALVES, THREE_QUARTERS, TWO_THIRDS,
+                                   SEVEN_TWELFTHS, SIXTH, THIRD,
+                                   THREE_QUARTERS, TWO_THIRDS,
                                    TransferRecord, apply_rules,
                                    audit_case_ledger,
                                    audit_family_partition,
@@ -22,7 +22,8 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    face_type_of_classes, final_charges,
                                    initial_charges, klass_of, klass_str,
                                    lambda_pattern, matching_families, pattern,
-                                   r5_table, sweep_4face, twelfths_str)
+                                   r3_rate, r5_table, sweep_4face,
+                                   twelfths_str)
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
 from chooselab.plane import (PlaneGraph, consecutive, cube_graph,
                              dodecahedron_graph, grid_patch,
@@ -125,7 +126,7 @@ def test_apply_rules_r3_on_type1():
     out = apply_rules(G)
     r3 = [r for r in out.transfers if r.rule.startswith("R3")]
     assert len(r3) == 5
-    assert all(r.amount == THREE_HALVES and r.sender == 20 for r in r3)
+    assert all(r.amount == r3_rate(1) and r.sender == 20 for r in r3)
 
 
 def test_apply_rules_r2_four_halves():
@@ -245,7 +246,7 @@ def test_case_ledger_mutation_detected():
 def test_amount_of_anchors():
     assert amount_of(("init_v", 3)) == -12
     assert amount_of(("init_f", 5)) == 0
-    assert amount_of(("R3", 1)) == THREE_HALVES
+    assert amount_of(("R3", 1)) == r3_rate(1)
     assert amount_of(("R5", "5,4_1,5,5")) == SEVEN_TWELFTHS
     assert amount_of(("R5max", ("1",))) == FIVE_SIXTHS
     assert amount_of(("R5max", ("1", "5/6", "3/4"))) == TWO_THIRDS
@@ -618,9 +619,9 @@ def _ref_audit_transfer_observations() -> list[Finding]:
                                                ALL_CLASSES)}
     if min(r5_amounts) != HALF:
         findings.append(Finding("obs2", "R5 minimum is not 1/2"))
-    if min(min(r5_amounts), SEVEN_SIXTHS) < HALF:
+    if min(min(r5_amounts), r3_rate(3)) < HALF:
         findings.append(Finding("obs2", "5-vertex floor below 1/2"))
-    if min(ONE, SEVEN_SIXTHS) < ONE:
+    if min(ONE, r3_rate(3)) < ONE:
         findings.append(Finding("obs3", "6+ floor below 1"))
 
     # (4): two 3-corners beside a 5+ sender

@@ -5,8 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from chooselab.multicolor import (EdgeConflict, NotInList, SizeShort,
                                   TooLarge, choosable, colorable_ab,
+                                  coloring_search,
                                   enumerate_assignments_canonical,
-                                  find_coloring, validate_coloring)
+                                  find_coloring, lists_from_masks,
+                                  validate_coloring)
 from chooselab.plane import (PlaneGraph, complete_bipartite, cycle_graph,
                              grid_patch, path_graph)
 
@@ -253,7 +255,8 @@ def test_c5_not_2_choosable_with_constant_witness(n):
 
 def _loop_choosable(G, f, g, max_vectors=None):
     """choosable as a loop over the public enumerator and find_coloring:
-    (ok, checked, witness), or TooLarge."""
+    (ok, checked, witness), or TooLarge.  find_coloring sets up a new
+    search for each class, so no class is decided by a repair."""
     checked = 0
     try:
         for lists in enumerate_assignments_canonical(G, f, max_vectors):
@@ -282,8 +285,10 @@ LISTS_GRAPHS = [
 ]
 
 
-@pytest.mark.parametrize("G, f, g", LISTS_GRAPHS,
-                         ids=["C5", "K24", "C4", "K23", "C4-f3", "K13", "P3"])
+@pytest.mark.parametrize("G, f, g", LISTS_GRAPHS + [(path_graph(2), 7, 4),
+                                                    (path_graph(3), 7, 4)],
+                         ids=["C5", "K24", "C4", "K23", "C4-f3", "K13", "P3",
+                              "P2-7-4", "P3-7-4"])
 def test_choosable_matches_enumerate_and_find_coloring(G, f, g):
     fm = {v: f for v in G.vertices}
     gm = {v: g for v in G.vertices}
@@ -305,6 +310,51 @@ def test_choosable_matches_enumerate_and_find_coloring_random(seed):
     # a cap keeps f = 3 on five vertices short, and checks that both
     # sides stop at the same class
     assert _verdict(G, f, g, 400) == _loop_choosable(G, f, g, 400)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10 ** 6))
+def test_coloring_search_repair_agrees_with_a_fresh_search(seed):
+    """One search fed a run of list assignments, each one color away from
+    the last, so that most calls try a repair: it answers None exactly
+    when a fresh search does, and otherwise a valid (L, g)-coloring that
+    gives every vertex one frame."""
+    import random
+
+    rng = random.Random(seed)
+    n = rng.randrange(2, 7)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.5]
+    G = PlaneGraph(edges=edges, vertices=range(n))
+    verts = sorted(G.vertices)
+    demand = {v: rng.randrange(0, 3) for v in verts}
+    search = coloring_search(G, demand)
+    masks = [rng.getrandbits(6) for _ in verts]
+    for _ in range(30):
+        masks[rng.randrange(n)] ^= 1 << rng.randrange(6)
+        got = search(masks)
+        assert (got is None) == (coloring_search(G, demand)(masks) is None)
+        if got is not None:
+            assert sorted(i for i, _ in got) == list(range(n))
+            coloring = lists_from_masks([verts[i] for i, _ in got],
+                                        [m for _, m in got])
+            assert validate_coloring(G, lists_from_masks(verts, masks),
+                                     demand, coloring) == (True, None)
+
+
+def test_coloring_search_keeps_a_coloring_that_still_fits():
+    """Lists that still hold the last coloring get it back, frames in the
+    same order, also after a call that answered None."""
+    G = cycle_graph(5)
+    search = coloring_search(G, {v: 2 for v in G.vertices})
+    first = search([0b11111] * 5)
+    assert first is not None
+    assert search([0b111111] * 5) == first
+    assert search([0b11] * 5) is None          # C5 is not (2, 2)-colorable
+    tight = [0] * 5
+    for i, m in first:
+        tight[i] = m | 1 << 5 + i
+    assert search(tight) == first
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
