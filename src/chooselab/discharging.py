@@ -21,6 +21,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 
 from .plane import (Face, NotEmbedded, NotIncident, NotQuadFace, PlaneGraph,
@@ -170,11 +171,6 @@ def _any_matches(pats, lam: LambdaPattern) -> bool:
     return False
 
 
-def matching_families(lam: LambdaPattern) -> list[str]:
-    return [tag for tag, _amt, pats in _FAMILY_TABLE
-            if _any_matches(pats, lam)]
-
-
 def classify_family(lam: LambdaPattern) -> tuple[str, int]:
     """First family in printed order matching either orientation; else 1/2."""
     for tag, amt, pats in _FAMILY_TABLE:
@@ -196,8 +192,7 @@ def face_type_of_classes(corners: tuple[Klass, Klass, Klass, Klass]) -> int | No
     if len(heavy) != 1:
         return None
     i = heavy[0]
-    u, a, w, b = (corners[i], corners[(i + 1) % 4], corners[(i + 2) % 4],
-                  corners[(i + 3) % 4])
+    u, a, w, b = corners[i:] + corners[:i]
     degs = sorted(x[0] for x in (a, w, b))
     if degs == [3, 3, 4]:
         return 1
@@ -275,14 +270,22 @@ FIVES: tuple[Klass, ...] = tuple(c for c in ALL_CLASSES if c[0] == 5)
 def r5_table() -> MappingProxyType[LambdaPattern, tuple[tuple[str, ...], int]]:
     """Every lambda pattern (5_t, k1, k2, k3) over ALL_CLASSES, in product
     order, mapped to the families matching it and its R5 amount, both read
-    from the family table classify_family reads.  Built on first use, once
+    from the family table classify_family reads.  Each compiled pattern lists
+    the lambdas it matches, forwards and reversed.  Built on first use, once
     per process, and read-only, since every caller shares it."""
+    space = (FIVES, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES)
+    fams: dict[LambdaPattern, list[str]] = {
+        lam: [] for lam in itertools.product(*space)}
+    for tag, _amt, pats in _FAMILY_TABLE:
+        views = [v for s0, s1, s2, s3 in pats
+                 for v in ((s0, s1, s2, s3), (s0, s3, s2, s1))]
+        for lam in {lam for v in views for lam in itertools.product(
+                *([c for c in dom if c in s] for dom, s in zip(space, v)))}:
+            fams[lam].append(tag)
     amount = {tag: amt for tag, amt, _ in _FAMILY_TABLE} | dict([CATCH_ALL])
-    table = {}
-    for lam in itertools.product(FIVES, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES):
-        fams = tuple(matching_families(lam))
-        table[lam] = fams, amount[fams[0] if fams else CATCH_ALL[0]]
-    return MappingProxyType(table)
+    return MappingProxyType({
+        lam: (tuple(tags), amount[tags[0] if tags else CATCH_ALL[0]])
+        for lam, tags in fams.items()})
 
 
 @dataclass(frozen=True)
@@ -336,18 +339,12 @@ class RuleOutput:
     gaps: list[str] = field(default_factory=list)
 
 
-def apply_rules(G: PlaneGraph) -> RuleOutput:
-    """The complete deterministic transfer set for an embedded triangle-free
-    graph.  Vertices outside the rule tables (for example a 3-vertex with two
-    3-neighbors, which the configuration catalog forbids in a minimal host,
-    or a vertex of degree 2 or less beside a 3_0-vertex or on a 4-face) are
-    reported as gaps and send or receive nothing by the affected rule.
-    """
+def _transfers(G: PlaneGraph, gaps: list[str]) -> list[tuple]:
+    """apply_rules' transfers as unsorted tuples; the gaps go to `gaps`."""
     if G.abstract:
         raise NotEmbedded("discharging needs an embedding")
     faces = G.faces()
-    records: list[TransferRecord] = []
-    gaps: list[str] = []
+    transfers: list[tuple] = []
     deg = {v: G.degree(v) for v in G.vertices}
     klass = {v: (6, None) if d >= 6 else
              (d, sum(1 for w in G.neighbors(v) if deg[w] == 3))
@@ -364,7 +361,7 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
             continue
         for w in sorted(G.neighbors(u)):
             if deg[w] >= 4:
-                records.append(TransferRecord(w, "v", u, R1_RATES[t], "R1"))
+                transfers.append((w, "v", u, R1_RATES[t], "R1"))
             elif t == 0 and w not in silent:
                 silent.add(w)
                 gaps.append(f"R1: {deg[w]}-vertex {w} sends nothing")
@@ -373,6 +370,7 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
     # corners outside R2-R5, reported once each: degree 2 or less, or a
     # 4-vertex with 3+ 3-neighbors
     listed = set()
+    heavy = functools.cache(heavy_rate)  # one answer per (lambda, face type)
     for fi, f in enumerate(faces):
         if f.degree != 4:
             continue
@@ -395,15 +393,25 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
                         listed.add(u)
                         gaps.append(f"R2: 4-vertex {u} has 3+ 3-neighbors")
                     continue
-                records.append(TransferRecord(u, "f", fi, R2_RATES[case],
-                                              f"R2({case[0]})"))
+                transfers.append((u, "f", fi, R2_RATES[case],
+                                  f"R2({case[0]})"))
             else:
-                # the lambda pattern: the corner classes read from u
-                i = corners.index(u)
-                amt, rule = heavy_rate(classes[i:] + classes[:i], ftype)
-                records.append(TransferRecord(u, "f", fi, amt, rule))
-    records.sort(key=lambda r: (r.sender, r.receiver_kind, r.receiver, r.rule))
-    return RuleOutput(transfers=records, gaps=gaps)
+                i = corners.index(u)  # the lambda pattern: classes from u
+                transfers.append((u, "f", fi)
+                                 + heavy(classes[i:] + classes[:i], ftype))
+    return transfers
+
+
+def apply_rules(G: PlaneGraph) -> RuleOutput:
+    """The complete deterministic transfer set for an embedded triangle-free
+    graph.  Vertices outside the rule tables (for example a 3-vertex with two
+    3-neighbors, which the configuration catalog forbids in a minimal host,
+    or a vertex of degree 2 or less beside a 3_0-vertex or on a 4-face) are
+    reported as gaps and send or receive nothing by the affected rule.
+    """
+    gaps: list[str] = []
+    records = sorted(_transfers(G, gaps), key=itemgetter(0, 1, 2, 4))
+    return RuleOutput([TransferRecord(*r) for r in records], gaps)
 
 
 @dataclass
@@ -422,43 +430,35 @@ class Ledger:
         return [r for r in self.rows if r["final"] < 0]
 
     def as_dict(self) -> dict:
+        tw = functools.cache(twelfths_str)  # each distinct amount once
         return {"schema": 1,
-                "total_initial": twelfths_str(self.total_initial),
-                "total_final": twelfths_str(self.total_final),
+                "total_initial": tw(self.total_initial),
+                "total_final": tw(self.total_final),
                 "conserved": self.conserved,
                 "gaps": self.gaps,
                 "rows": [
                     {"element": r["element"],
-                     "initial": twelfths_str(r["initial"]),
-                     "in": twelfths_str(r["in"]),
-                     "out": twelfths_str(r["out"]),
-                     "final": twelfths_str(r["final"])}
+                     "initial": tw(r["initial"]),
+                     "in": tw(r["in"]),
+                     "out": tw(r["out"]),
+                     "final": tw(r["final"])}
                     for r in self.rows
                 ]}
 
 
 def final_charges(G: PlaneGraph) -> Ledger:
     charges = initial_charges(G)
-    out = apply_rules(G)
-    inflow: dict[tuple[str, int], int] = {k: 0 for k in charges}
-    outflow: dict[tuple[str, int], int] = {k: 0 for k in charges}
-    for r in out.transfers:
-        outflow[("v", r.sender)] += r.amount
-        inflow[(r.receiver_kind, r.receiver)] += r.amount
-    rows = []
-    for key in sorted(charges):
-        kind, idx = key
-        rows.append({
-            "element": f"{kind}{idx}",
-            "initial": charges[key],
-            "in": inflow[key],
-            "out": outflow[key],
-            "final": charges[key] + inflow[key] - outflow[key],
-        })
-    return Ledger(rows=rows,
-                  total_initial=sum(charges.values()),
-                  total_final=sum(r["final"] for r in rows),
-                  gaps=out.gaps)
+    gaps: list[str] = []
+    inflow, outflow = dict.fromkeys(charges, 0), dict.fromkeys(charges, 0)
+    for sender, kind, receiver, amount, _rule in _transfers(G, gaps):
+        outflow[("v", sender)] += amount
+        inflow[(kind, receiver)] += amount
+    rows = [{"element": f"{key[0]}{key[1]}", "initial": c,
+             "in": inflow[key], "out": outflow[key],
+             "final": c + inflow[key] - outflow[key]}
+            for key, c in sorted(charges.items())]
+    return Ledger(rows=rows, total_initial=sum(charges.values()),
+                  total_final=sum(r["final"] for r in rows), gaps=gaps)
 
 
 # -- audits ----------------------------------------------------------------------
@@ -667,11 +667,11 @@ def _consistent(corners) -> bool:
     return True
 
 
-def _cyclic_views(corners):
-    for i in range(4):
-        rot = corners[i:] + corners[:i]
-        yield rot
-        yield (rot[0], rot[3], rot[2], rot[1])
+def _cyclic_views(corners) -> tuple:
+    """The eight images of the 4-cycle: each rotation, then its reflection."""
+    a, b, c, d = corners
+    return ((a, b, c, d), (a, d, c, b), (b, c, d, a), (b, a, d, c),
+            (c, d, a, b), (c, b, a, d), (d, a, b, c), (d, c, b, a))
 
 
 EXCLUSIONS = (
@@ -744,6 +744,8 @@ def _min_corner_transfer(corners, i: int, ftype: int | None) -> int:
     if d == 3:
         return 0
     a, w, b = corners[(i + 1) % 4], corners[(i + 2) % 4], corners[(i + 3) % 4]
+    if d == 5 and ftype is None:
+        return r5_table()[u, a, w, b][1]
     if d >= 5:
         return heavy_rate((u, a, w, b), ftype)[0]
     # a 4-vertex: the R2 cases its class leaves open, and the least rate
@@ -774,13 +776,6 @@ def _scenario_total(corners, exclusions) -> int | bool | None:
     return sum(_min_corner_transfer(corners, i, ftype) for i in range(4))
 
 
-def _orbit_key(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
-    """The least of the eight images of the class-index 4-cycle (a, b, c, d)
-    under its four rotations and four reflections."""
-    return min((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c),
-               (a, d, c, b), (d, c, b, a), (c, b, a, d), (b, a, d, c))
-
-
 def sweep_4face(exclusions=EXCLUSIONS) -> tuple[list[Finding], int, int]:
     """Enumerate 4-face corner scenarios, drop the ones excluded by the
     configuration catalog, and check that every survivor collects at least 2
@@ -789,18 +784,16 @@ def sweep_4face(exclusions=EXCLUSIONS) -> tuple[list[Finding], int, int]:
     Consistency, the face type and the four-corner total are invariant
     under the eight symmetries of the face (four rotations, four
     reflections), and every exclusion must be too: each orbit of corner
-    tuples is decided once, and every tuple of it is counted and reported
-    under its own corners, in product order."""
+    tuples is decided once, at its first tuple in product order, and every
+    tuple of it is counted and reported under its own corners."""
     findings = []
     surviving = excluded = 0
     decided: dict[tuple, int | bool | None] = {}
-    indices = range(len(ALL_CLASSES))
-    for corners, idx in zip(itertools.product(ALL_CLASSES, repeat=4),
-                            itertools.product(indices, repeat=4)):
-        key = _orbit_key(*idx)
-        if key not in decided:
-            decided[key] = _scenario_total(corners, exclusions)
-        total = decided[key]
+    for corners in itertools.product(ALL_CLASSES, repeat=4):
+        if corners not in decided:
+            decided.update(dict.fromkeys(
+                _cyclic_views(corners), _scenario_total(corners, exclusions)))
+        total = decided[corners]
         if total is None:
             continue
         if total is False:

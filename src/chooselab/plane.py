@@ -76,6 +76,12 @@ class DegreeClass:
         return f"{self.d}_{self.t}"
 
 
+def _vertex_id(x) -> int:
+    if type(x) is not int:  # a bool, float or string is not a vertex id
+        raise GraphError(f"vertex id {x!r} is not an integer")
+    return x
+
+
 class PlaneGraph:
     """Immutable simple graph with an optional combinatorial embedding."""
 
@@ -86,19 +92,19 @@ class PlaneGraph:
             raise GraphError("give exactly one of rotation= or edges=")
         self.abstract = rotation is None
         if rotation is not None:
-            self._rotation = {int(v): tuple(int(w) for w in nbrs)
+            self._rotation = {int(v): tuple(map(_vertex_id, nbrs))
                               for v, nbrs in rotation.items()}
             if vertices is not None:
                 for v in vertices:
-                    self._rotation.setdefault(int(v), ())
+                    self._rotation.setdefault(_vertex_id(v), ())
             self._check_rotation()
         else:
             adj: dict[int, list[int]] = {}
             if vertices is not None:
                 for v in vertices:
-                    adj.setdefault(int(v), [])
+                    adj.setdefault(_vertex_id(v), [])
             for u, v in edges:  # type: ignore[union-attr]
-                u, v = int(u), int(v)
+                u, v = _vertex_id(u), _vertex_id(v)
                 if u == v:
                     raise SelfLoop(f"self-loop at {u}")
                 if v in adj.get(u, ()):

@@ -396,12 +396,18 @@ def test_bad_f_map_rejected(tmp_path, capsys, c5_file, fmap):
 @pytest.mark.parametrize("spec", [
     {"edges": [[0]]}, {"edges": 5}, {"edges": [["a", "b"]]},
     {"edges": [[0, None]]}, {"rotations": [1, 2]}, {"rotations": {"0": 5}},
-    {"rotations": {"x": [1]}}, {"edges": [[0, 1]], "vertices": 3}, [1, 2], 5])
+    {"rotations": {"x": [1]}}, {"edges": [[0, 1]], "vertices": 3}, [1, 2], 5,
+    # ids must be JSON ints: no digit strings, floats or bools
+    {"rotations": {"0": "1", "1": "0"}},
+    {"rotations": {"0": [1.9], "1": [0.2]}},
+    {"edges": ["01", [1, 2]]}, {"edges": [["0", "1"]]},
+    {"edges": [[True, 2]]}])
 def test_malformed_graph_rejected(tmp_path, capsys, spec):
     p = tmp_path / "g.json"
     p.write_text(json.dumps(spec))
     _assert_input_error(main(["check-choosability", "--graph", str(p),
                               "--colorable", "--a", "2", "--b", "1"]), capsys)
+    _assert_input_error(main(["discharge", "--graph", str(p)]), capsys)
 
 
 # -- fuzz: every input exits 0, 1 or 2, never with a traceback -----------------

@@ -21,7 +21,7 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    classify_family, face_type,
                                    face_type_of_classes, final_charges,
                                    initial_charges, klass_of, klass_str,
-                                   lambda_pattern, matching_families, pattern,
+                                   lambda_pattern, pattern, pattern_matches,
                                    r3_rate, r5_table, sweep_4face,
                                    twelfths_str)
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
@@ -100,8 +100,8 @@ def test_family_partition_no_double_matches():
     assert findings == []
     assert catch_all > 0
     # spot examples land in single families
-    assert matching_families(((5, 0), (3, 0), (5, 1), (4, 2))) == ["1"]
-    assert matching_families(((5, 0), (4, 2), (5, 0), (4, 2))) == ["5/6"]
+    assert r5_table()[(5, 0), (3, 0), (5, 1), (4, 2)][0] == ("1",)
+    assert r5_table()[(5, 0), (4, 2), (5, 0), (4, 2)][0] == ("5/6",)
 
 
 def test_apply_rules_star_30():
@@ -387,6 +387,13 @@ def _ref_matching_families(lam) -> list[str]:
             if any(_ref_pattern_matches(p, lam) for p in pats)]
 
 
+def _compiled_matching_families(lam) -> list[str]:
+    """The families whose compiled patterns match lam, one lambda at a time:
+    the walk r5_table replaces by listing each pattern's lambdas."""
+    return [tag for tag, _amt, pats in discharging._FAMILY_TABLE
+            if any(pattern_matches(p, lam) for p in pats)]
+
+
 def _ref_classify_family(lam) -> tuple[str, int]:
     for tag, amt, pats in FAMILIES:
         if any(_ref_pattern_matches(p, lam) for p in pats):
@@ -413,7 +420,7 @@ def _ref_face_type_of_classes(corners) -> int | None:
 
 def _assert_tables_agree(lam) -> None:
     assert classify_family(lam) == _ref_classify_family(lam), lam
-    assert matching_families(lam) == _ref_matching_families(lam), lam
+    assert _compiled_matching_families(lam) == _ref_matching_families(lam), lam
     assert face_type_of_classes(lam) == _ref_face_type_of_classes(lam), lam
 
 
@@ -559,6 +566,25 @@ def _seeded_plane_graph(seed: int) -> PlaneGraph:
     return PlaneGraph(rotation=rot)
 
 
+def test_final_charges_match_per_corner_reference():
+    fixtures = [cube_graph(), dodecahedron_graph(), grid_patch(3, 3),
+                grid_patch(1, 6), quad_wheel()]
+    for G in fixtures + [_seeded_plane_graph(seed) for seed in range(40)]:
+        records, gaps = _ref_transfers(G)
+        inflow, outflow = {}, {}
+        for r in records:
+            key = f"{r.receiver_kind}{r.receiver}"
+            inflow[key] = inflow.get(key, 0) + r.amount
+            outflow[f"v{r.sender}"] = outflow.get(f"v{r.sender}", 0) + r.amount
+        led = final_charges(G)
+        assert led.gaps == gaps
+        assert len(led.rows) == len(G.vertices) + len(G.faces())
+        for row in led.rows:
+            assert row["in"] == inflow.get(row["element"], 0), row
+            assert row["out"] == outflow.get(row["element"], 0), row
+            assert row["final"] == row["initial"] + row["in"] - row["out"]
+
+
 def test_apply_rules_matches_per_corner_reference():
     seen_classes, seen_rules = set(), set()
     for seed in range(12):
@@ -588,7 +614,7 @@ def _ref_audit_family_partition() -> tuple[list[Finding], int]:
     catch_all = 0
     selves = [(5, t) for t in range(4)]
     for lam in itertools.product(selves, ALL_CLASSES, ALL_CLASSES, ALL_CLASSES):
-        fams = matching_families(lam)  # type: ignore[arg-type]
+        fams = _compiled_matching_families(lam)
         if len(fams) > 1:
             findings.append(Finding(
                 "families",
@@ -824,8 +850,8 @@ def test_r5_table_covers_the_lambda_space():
                                                  ALL_CLASSES, ALL_CLASSES))
     assert len(table) == 4000
     for lam, (fams, amt) in table.items():
-        assert list(fams) == matching_families(lam)
-        assert amt == classify_family(lam)[1]
+        assert list(fams) == _ref_matching_families(lam)
+        assert amt == _ref_classify_family(lam)[1]
 
 
 def test_r2_rates_keys_are_the_ledger_anchors():
