@@ -92,8 +92,11 @@ class PlaneGraph:
             raise GraphError("give exactly one of rotation= or edges=")
         self.abstract = rotation is None
         if rotation is not None:
-            self._rotation = {int(v): tuple(map(_vertex_id, nbrs))
-                              for v, nbrs in rotation.items()}
+            # one C-level type pass; only a failing graph walks the ids
+            ok = {int}.issuperset(map(type, itertools.chain(*rotation.values())))
+            self._rotation = {
+                int(v): tuple(nbrs if ok else map(_vertex_id, nbrs))
+                for v, nbrs in rotation.items()}
             if vertices is not None:
                 for v in vertices:
                     self._rotation.setdefault(_vertex_id(v), ())
@@ -233,18 +236,19 @@ def trace_faces(G: PlaneGraph) -> list[Face]:
     """
     if G.abstract:
         raise NotEmbedded("graph has no rotation system")
-    faces, seen = [], set()
+    # succ[v][u] is the successor of u at v; the walk pops each dart (u, v)
+    faces, succ = [], {v: dict(zip(rot, rot[1:] + rot[:1]))
+                       for v, rot in G._rotation.items()}
     # the least dart not yet walked is the least dart of its face, so the
     # faces come out ordered by their least darts
-    for start in sorted((u, v) for u in G.vertices for v in G.rotation(u)):
-        if start not in seen:
-            walk, dart = [], start
-            while not walk or dart != start:
-                walk.append(dart)
-                u, v = dart
-                dart = (v, G.succ(v, u))
-            seen.update(walk)
-            faces.append(Face(tuple(walk)))
+    for a in G.vertices:
+        for b in sorted(G._rotation[a]):
+            walk, u, v = [], a, b
+            while (w := succ[v].pop(u, None)) is not None:
+                walk.append((u, v))
+                u, v = v, w
+            if walk:
+                faces.append(Face(tuple(walk)))
     if G.is_connected():
         euler = len(G.vertices) - G.num_edges() + len(faces)
         if euler != 2:

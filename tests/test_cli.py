@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chooselab import cli
 from chooselab.cli import main
 from chooselab.plane import cube_graph, cycle_graph, path_graph
 
@@ -217,6 +219,7 @@ def _assert_input_error(rc, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1, err
+    return err
 
 
 SYMBOLIC_CFG = {
@@ -401,13 +404,23 @@ def test_bad_f_map_rejected(tmp_path, capsys, c5_file, fmap):
     {"rotations": {"0": "1", "1": "0"}},
     {"rotations": {"0": [1.9], "1": [0.2]}},
     {"edges": ["01", [1, 2]]}, {"edges": [["0", "1"]]},
-    {"edges": [[True, 2]]}])
+    {"edges": [[True, 2]]},
+    # the bad id comes after valid ones, in a later vertex's rotation
+    {"rotations": {"0": [1, 2], "1": [0, 2], "2": [0, True]}},
+    {"rotations": {"0": [1, 2], "1": [2, 0], "2": [1.0, 0]}},
+    {"rotations": {"0": [1, 2], "1": [0, 2], "2": [1, "0"]}}])
 def test_malformed_graph_rejected(tmp_path, capsys, spec):
     p = tmp_path / "g.json"
     p.write_text(json.dumps(spec))
-    _assert_input_error(main(["check-choosability", "--graph", str(p),
-                              "--colorable", "--a", "2", "--b", "1"]), capsys)
-    _assert_input_error(main(["discharge", "--graph", str(p)]), capsys)
+    rot = spec.get("rotations") if isinstance(spec, dict) else None
+    ids = [x for nbrs in rot.values() if isinstance(nbrs, list)
+           for x in nbrs] if isinstance(rot, dict) else []
+    bad = next((x for x in ids if type(x) is not int), None)
+    for argv in (["check-choosability", "--colorable", "--a", "2", "--b", "1"],
+                 ["discharge"]):
+        err = _assert_input_error(main([*argv, "--graph", str(p)]), capsys)
+        if bad is not None:   # the first id that is not an int is named
+            assert f"vertex id {bad!r} is not an integer" in err, err
 
 
 # -- fuzz: every input exits 0, 1 or 2, never with a traceback -----------------
@@ -543,3 +556,90 @@ def test_schemes_run_fuzz(tmp_path_factory, data):
         rc = main(["schemes", "run", "--config", str(p)])
     assert rc in ((0,) if how == "keep" else (0, 1, 2)), (cfg, rc)
     assert "Traceback" not in err.getvalue()
+
+
+# -- json reports: the layout of json.dumps(indent=2), from the C encoder ------
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TRICKY = ["},\n      {", "\n", '"', '\\"}', "é", " ", "}, {"]
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 90, 2 ** 90),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                  -0.0]),
+    st.text(max_size=6), st.sampled_from(_TRICKY))
+_JSON_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(_TRICKY),
+                       st.integers(), st.floats(), st.booleans(), st.none())
+# an empty container is written alike at every depth, so it may sit in a
+# flat container
+_FLAT_DICTS = st.dictionaries(_JSON_KEYS, _JSON_SCALARS | st.sampled_from(
+    [[], {}, ()]), max_size=4)
+
+
+def _json_trees(kids):
+    dicts = st.dictionaries(_JSON_KEYS, kids, max_size=4)
+    return st.one_of(
+        st.lists(kids, max_size=4), st.lists(kids, max_size=4).map(tuple),
+        st.lists(kids, max_size=4).map(_List), dicts,
+        dicts.map(collections.OrderedDict), dicts.map(_Dict),
+        # rows: a list of flat dicts, some of them empty or subclasses
+        st.lists(st.one_of(_FLAT_DICTS, _FLAT_DICTS.map(_Dict)), max_size=4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(tree=st.recursive(_JSON_SCALARS, _json_trees, max_leaves=30))
+@example(tree={"rows": [{"a": 1, "b": "},\n      {"}, {"c": None}],
+               "gaps": ["\n"]})
+@example(tree=[{"a": 1}, {}])
+@example(tree={"rows": [{"a": [], "b": {}}, {"c": ()}], "x": [[], {"y": {}}]})
+@example(tree=(_Dict(a=(1, [])), collections.OrderedDict(b=_List([{}]))))
+@example(tree={None: [], True: {"x": []}, 1.5: [[]], float("nan"): [{}],
+               -0.0: [1], 10 ** 30: [{"k": -float("inf")}]})
+def test_dumps_is_indent_2(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_dumps_without_the_c_encoder(monkeypatch):
+    monkeypatch.setattr(cli, "c_make_encoder", None)
+    tree = {"rows": [{"a": 1}], 1: [float("nan")]}
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+def _layout_argvs(tmp_path):
+    """One small input for each command that writes a json report."""
+    c4, c5, cube = (tmp_path / "c4.json", tmp_path / "c5.json",
+                    tmp_path / "cube.json")
+    c4.write_text(cycle_graph(4).to_json())
+    c5.write_text(cycle_graph(5).to_json())
+    cube.write_text(cube_graph().to_json())
+    sym, conc = tmp_path / "sym.json", tmp_path / "conc.json"
+    sym.write_text(json.dumps(dict(SYMBOLIC_CFG, steps=[
+        {"op": "save", "u": 0, "v": 1, "k": 1}, *SYMBOLIC_CFG["steps"]])))
+    conc.write_text(json.dumps(CONCRETE_CFG))
+    return [
+        ["verify-claims", "--claim", "star", "--literal"],
+        ["check-choosability", "--graph", str(c4), "--f", "2", "--g", "1"],
+        ["check-choosability", "--graph", str(c5), "--f", "2", "--g", "1"],
+        ["check-choosability", "--graph", str(c5), "--a", "5", "--b", "2",
+         "--colorable"],
+        ["discharge", "--graph", str(cube)],
+        ["audit", "families"], ["audit", "observations"],
+        ["audit", "ineq6plus", "--dmax", "8"], ["audit", "case-ledger"],
+        ["audit", "four-face"],
+        ["schemes", "run", "--config", str(sym)],
+        ["schemes", "run", "--config", str(conc)],
+    ]
+
+
+def test_json_reports_have_the_indent_2_layout(tmp_path, capsys):
+    """The layout contract, whichever encoder writes it."""
+    for argv in _layout_argvs(tmp_path):
+        main([*argv, "--report", "json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv

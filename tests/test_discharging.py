@@ -1,5 +1,4 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
@@ -25,9 +24,8 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    r3_rate, r5_table, sweep_4face,
                                    twelfths_str)
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
-from chooselab.plane import (PlaneGraph, consecutive, cube_graph,
-                             dodecahedron_graph, grid_patch,
-                             rotations_from_faces)
+from chooselab.plane import (consecutive, cube_graph, dodecahedron_graph,
+                             grid_patch, rotations_from_faces)
 
 
 def test_rule_amounts_are_integer_twelfths():
@@ -45,7 +43,8 @@ def test_initial_charges():
 
 # -- shared embedded fixtures -------------------------------------------------
 
-from fixtures_embedded import hex_pair, quad_wheel  # noqa: E402
+from fixtures_embedded import (hex_pair, quad_wheel,  # noqa: E402
+                               seeded_plane_graph)
 
 
 def test_quad_wheel_shape():
@@ -538,38 +537,10 @@ def _ref_transfers(G) -> tuple[list, list]:
     return records, gaps
 
 
-def _seeded_plane_graph(seed: int) -> PlaneGraph:
-    """The quad wheel (a 5_5 hub, 2-vertices) grown by seeded chords across
-    faces and edge subdivisions.  A chord joins two vertices with no common
-    neighbor, so the graph stays triangle-free and plane."""
-    rng = random.Random(seed)
-    G = quad_wheel()
-    rot = {v: list(G.rotation(v)) for v in G.vertices}
-    for _ in range(40):
-        G = PlaneGraph(rotation=rot)
-        if rng.random() < 0.3:
-            u = rng.choice(G.vertices)
-            v, x = rng.choice(rot[u]), max(rot) + 1
-            rot[u][rot[u].index(v)] = x
-            rot[v][rot[v].index(u)] = x
-            rot[x] = [u, v]
-            continue
-        walk = rng.choice(G.faces()).vertices
-        i, j = rng.sample(range(len(walk)), 2)
-        a, c = walk[i], walk[j]
-        if (walk.count(a) > 1 or walk.count(c) > 1 or c in G.neighbors(a)
-                or G.neighbors(a) & G.neighbors(c)):
-            continue
-        # walk[i - 1] -> a -> walk[i + 1] turns at a, so c goes between them
-        rot[a].insert(rot[a].index(walk[i - 1]) + 1, c)
-        rot[c].insert(rot[c].index(walk[j - 1]) + 1, a)
-    return PlaneGraph(rotation=rot)
-
-
 def test_final_charges_match_per_corner_reference():
     fixtures = [cube_graph(), dodecahedron_graph(), grid_patch(3, 3),
                 grid_patch(1, 6), quad_wheel()]
-    for G in fixtures + [_seeded_plane_graph(seed) for seed in range(40)]:
+    for G in fixtures + [seeded_plane_graph(seed) for seed in range(40)]:
         records, gaps = _ref_transfers(G)
         inflow, outflow = {}, {}
         for r in records:
@@ -588,7 +559,7 @@ def test_final_charges_match_per_corner_reference():
 def test_apply_rules_matches_per_corner_reference():
     seen_classes, seen_rules = set(), set()
     for seed in range(12):
-        G = _seeded_plane_graph(seed)
+        G = seeded_plane_graph(seed)
         assert G.is_triangle_free()
         out = apply_rules(G)
         assert (out.transfers, out.gaps) == _ref_transfers(G)
@@ -862,7 +833,7 @@ def test_r2_rates_keys_are_the_ledger_anchors():
 
 def test_r2_case_matches_reference():
     seen = set()
-    for G in [_seeded_plane_graph(seed) for seed in range(40)] + [
+    for G in [seeded_plane_graph(seed) for seed in range(40)] + [
             grid_patch(3, 3)]:
         deg = {v: G.degree(v) for v in G.vertices}
         for f in G.faces():

@@ -7,6 +7,8 @@ from chooselab.plane import (AsymmetricRotation, DuplicateNeighbor,
                              degree_class, dodecahedron_graph, grid_patch,
                              path_graph, trace_faces)
 
+from fixtures_embedded import seeded_plane_graph
+
 
 def test_build_cycle_from_rotations():
     G = build_plane_graph({"vertices": [0, 1, 2, 3],
@@ -70,8 +72,15 @@ def _reference_faces(G):
 
 
 def test_dart_partition():
+    cube = {v: cube_graph().rotation(v) for v in range(8)}
+    two_cubes = {**cube, **{v + 8: [w + 8 for w in ws]
+                            for v, ws in cube.items()}}
+    grid = grid_patch(2, 2)
     for G in (cube_graph(), dodecahedron_graph(), grid_patch(2, 3),
-              grid_patch(9, 7)):
+              grid_patch(9, 7), PlaneGraph(rotation=two_cubes),
+              PlaneGraph(rotation={v: grid.rotation(v) for v in grid.vertices},
+                         vertices=[50]),
+              *(seeded_plane_graph(seed) for seed in range(40))):
         darts = {(u, v) for u in G.vertices for v in G.rotation(u)}
         covered = [d for f in G.faces() for d in f.boundary]
         assert len(covered) == len(darts)
