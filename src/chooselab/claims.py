@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 from .nice import is_nice, profile
 from .plane import PlaneGraph
+from .record import Record
 from .reduction import (SchemeTrace, Step, SymbolicState, run_scheme,
                         step_from_json)
 
@@ -64,8 +65,7 @@ def _entry(claim_id: str) -> dict:
 
 # -- building ---------------------------------------------------------------
 
-@dataclass
-class BuiltVariant:
+class BuiltVariant(NamedTuple):
     claim_id: str
     name: str
     graph: PlaneGraph
@@ -133,8 +133,7 @@ def initial_state(bv: BuiltVariant, m: int = 1) -> SymbolicState:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass
-class VariantReport:
+class VariantReport(NamedTuple):
     claim_id: str
     name: str
     triangle_free: bool
@@ -188,8 +187,7 @@ class VariantReport:
         return d
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim_id: str
     anchor: str
     variants: list[VariantReport]
@@ -243,10 +241,13 @@ def verify_claim(claim_id: str, m: int = 1) -> ClaimReport:
                        variants=reports, notes=entry.get("notes", ""))
 
 
-@dataclass
-class CatalogSummary:
-    reports: list[ClaimReport]
-    skipped: list[str] = field(default_factory=list)
+class CatalogSummary(Record):
+    __slots__ = ("reports", "skipped")
+
+    def __init__(self, reports: list[ClaimReport],
+                 skipped: list[str] | None = None):
+        self.reports = reports
+        self.skipped = [] if skipped is None else skipped
 
     @property
     def passed(self) -> bool:

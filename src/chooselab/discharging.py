@@ -20,12 +20,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .plane import (Face, NotEmbedded, NotIncident, NotQuadFace, PlaneGraph,
                     consecutive, degree_class)
+from .record import Record
 
 # charge amounts, in twelfths
 SIXTH = 2
@@ -70,8 +71,7 @@ def klass_str(c: Klass) -> str:
     return "6+" if d >= 6 else f"{d}_{t}"
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(NamedTuple):
     """One component of a family pattern: degree with optional t-constraint."""
 
     d: int
@@ -288,8 +288,7 @@ def r5_table() -> MappingProxyType[LambdaPattern, tuple[tuple[str, ...], int]]:
         for lam, tags in fams.items()})
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     sender: int
     receiver_kind: str  # "v" | "f"
     receiver: int       # vertex id or face index
@@ -333,10 +332,13 @@ def _r2_case(G: PlaneGraph, deg: dict[int, int], u: int,
     return None  # >= 3 three-neighbors: outside the rule table
 
 
-@dataclass
-class RuleOutput:
-    transfers: list[TransferRecord]
-    gaps: list[str] = field(default_factory=list)
+class RuleOutput(Record):
+    __slots__ = ("transfers", "gaps")
+
+    def __init__(self, transfers: list[TransferRecord],
+                 gaps: list[str] | None = None):
+        self.transfers = transfers
+        self.gaps = [] if gaps is None else gaps
 
 
 def _transfers(G: PlaneGraph, gaps: list[str]) -> list[tuple]:
@@ -414,8 +416,7 @@ def apply_rules(G: PlaneGraph) -> RuleOutput:
     return RuleOutput([TransferRecord(*r) for r in records], gaps)
 
 
-@dataclass
-class Ledger:
+class Ledger(NamedTuple):
     rows: list[dict]
     total_initial: int
     total_final: int
@@ -463,8 +464,7 @@ def final_charges(G: PlaneGraph) -> Ledger:
 
 # -- audits ----------------------------------------------------------------------
 
-@dataclass
-class Finding:
+class Finding(NamedTuple):
     audit: str
     detail: str
 
@@ -647,8 +647,7 @@ def audit_case_ledger() -> list[Finding]:
 # -- the four-face sweep -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     corners: tuple[Klass, Klass, Klass, Klass]
 
     def __str__(self) -> str:

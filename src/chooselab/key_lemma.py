@@ -25,23 +25,27 @@ each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .multicolor import (_combos, canonical_masks, coloring_search,
                          lists_from_masks)
 from .plane import PlaneGraph, path_graph
+from .record import Record
 
 
-@dataclass
-class CaseReport:
-    case: str
-    classes_total: int
-    classes_colorable: int
-    counterexamples: list[dict] = field(default_factory=list)
-    # always False: every class is checked.  perfbench's `lists` workload
-    # reads it, so it can go only in the same change as that check.
-    sampled: bool = False
+class CaseReport(Record):
+    # `sampled` is always False: every class is checked.  perfbench's `lists`
+    # workload reads it, so it can go only in the same change as that check.
+    __slots__ = ("case", "classes_total", "classes_colorable",
+                 "counterexamples", "sampled")
+
+    def __init__(self, case: str, classes_total: int, classes_colorable: int,
+                 counterexamples: list[dict] | None = None,
+                 sampled: bool = False):
+        self.case, self.classes_total = case, classes_total
+        self.classes_colorable = classes_colorable
+        self.counterexamples = [] if counterexamples is None else counterexamples
+        self.sampled = sampled
 
     @property
     def ok(self) -> bool:

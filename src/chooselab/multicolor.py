@@ -15,12 +15,12 @@ import heapq
 import itertools
 import os
 from decimal import Decimal, InvalidOperation
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .plane import PlaneGraph
+from .record import FrozenRecord
 
 DEFAULT_MAX_CELLS = 10 ** 8
 ENV_MAX_CELLS = "CHOOSELAB_MAX_CELLS"
@@ -32,20 +32,26 @@ class TooLarge(RuntimeError):
 
 # -- violations (returned as data, never raised) -------------------------
 
-@dataclass(frozen=True)
-class SizeShort:
-    v: int
+class SizeShort(FrozenRecord):
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class NotInList:
-    v: int
+class NotInList(FrozenRecord):
+    __slots__ = ("v",)
+
+    def __init__(self, v: int):
+        object.__setattr__(self, "v", v)
 
 
-@dataclass(frozen=True)
-class EdgeConflict:
-    u: int
-    v: int
+class EdgeConflict(FrozenRecord):
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
 
 
 def validate_coloring(G: PlaneGraph, lists: dict[int, frozenset[int]],
@@ -500,8 +506,7 @@ class _Blocks:
 
 # -- choosability --------------------------------------------------------
 
-@dataclass
-class ChoosableVerdict:
+class ChoosableVerdict(NamedTuple):
     ok: bool
     witness: dict[int, frozenset[int]] | None = None
     checked: int = 0

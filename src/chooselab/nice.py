@@ -12,7 +12,7 @@ shape, and for core vertices
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .plane import PlaneGraph
 
@@ -21,14 +21,12 @@ class NotNice(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ComponentInfo:
+class ComponentInfo(NamedTuple):
     kind: str  # "P1" | "P2" | "P3" | "P4" | "K13" | "Other"
     vertices: tuple[int, ...]
 
 
-@dataclass
-class NiceProfile:
+class NiceProfile(NamedTuple):
     core: frozenset[int]               # U_H
     frontier: frozenset[int]           # V(F_H)
     components: list[ComponentInfo]

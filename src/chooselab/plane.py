@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
@@ -50,8 +49,7 @@ class NotQuadFace(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face walk: cyclic sequence of darts (u, v)."""
 
     boundary: tuple[tuple[int, int], ...]
@@ -65,8 +63,7 @@ class Face:
         return tuple(u for u, _ in self.boundary)
 
 
-@dataclass(frozen=True)
-class DegreeClass:
+class DegreeClass(NamedTuple):
     """Degree d together with the number t of degree-3 neighbors."""
 
     d: int

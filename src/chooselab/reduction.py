@@ -28,10 +28,10 @@ choices and its JSON codec.  The drivers know nothing about kinds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator, NamedTuple
 
 from .plane import PlaneGraph
+from .record import FrozenRecord, Record
 
 class SchemeError(ValueError):
     pass
@@ -48,8 +48,10 @@ def _sorted_adj(G: PlaneGraph, verts: set[int]) -> dict[int, tuple[int, ...]]:
     return {v: tuple(sorted(G.neighbors(v) & verts)) for v in verts}
 
 
-class _Live:
+class _Live(Record):
     """`adj` maps each vertex to its sorted neighbors in the configuration."""
+
+    __slots__ = ()
 
     def live_neighbors(self, v: int) -> list[int]:
         return [w for w in self.adj[v] if w in self.live]
@@ -64,24 +66,24 @@ class _Live:
                 raise SchemeError(f"{step}: vertex {x} is not in the configuration")
 
 
-@dataclass(frozen=True)
-class SetVar:
+class SetVar(NamedTuple):
     size: int
     containers: frozenset[int]
     avoids: frozenset[int]
 
 
-@dataclass
 class SymbolicState(_Live):
     """Worst-case bounds, in units of m, for a triple under reduction."""
 
-    adj: dict[int, tuple[int, ...]]
-    live: set[int]
-    lo: dict[int, int]
-    hi: dict[int, int]
-    g: dict[int, int]
-    setvars: dict[str, SetVar] = field(default_factory=dict)
-    hits: set[tuple[str, int]] = field(default_factory=set)
+    __slots__ = ("adj", "live", "lo", "hi", "g", "setvars", "hits")
+
+    def __init__(self, adj: dict[int, tuple[int, ...]], live: set[int],
+                 lo: dict[int, int], hi: dict[int, int], g: dict[int, int],
+                 setvars: dict[str, SetVar] | None = None,
+                 hits: set[tuple[str, int]] | None = None):
+        self.adj, self.live, self.lo, self.hi, self.g = adj, live, lo, hi, g
+        self.setvars = {} if setvars is None else setvars
+        self.hits = set() if hits is None else hits
 
     @staticmethod
     def from_profile(G: PlaneGraph, profile: dict[int, tuple[int, int]],
@@ -96,13 +98,14 @@ class SymbolicState(_Live):
                              dict(self.setvars), set(self.hits))
 
 
-@dataclass
 class ConcreteState(_Live):
-    adj: dict[int, tuple[int, ...]]
-    live: set[int]
-    lists: dict[int, frozenset[int]]
-    g: dict[int, int]
-    sets: dict[str, frozenset[int]] = field(default_factory=dict)
+    __slots__ = ("adj", "live", "lists", "g", "sets")
+
+    def __init__(self, adj: dict[int, tuple[int, ...]], live: set[int],
+                 lists: dict[int, frozenset[int]], g: dict[int, int],
+                 sets: dict[str, frozenset[int]] | None = None):
+        self.adj, self.live, self.lists, self.g = adj, live, lists, g
+        self.sets = {} if sets is None else sets
 
     @staticmethod
     def from_assignment(G: PlaneGraph, lists: dict[int, frozenset[int]],
@@ -116,8 +119,7 @@ class ConcreteState(_Live):
                              dict(self.g), dict(self.sets))
 
 
-@dataclass
-class StepRecord:
+class StepRecord(NamedTuple):
     step: str
     check: str
     lhs: int | None
@@ -130,11 +132,15 @@ class StepRecord:
                 "rhs": self.rhs, "verdict": self.verdict, "detail": self.detail}
 
 
-@dataclass
-class BranchTrace:
-    corners: tuple[str, ...]
-    records: list[StepRecord] = field(default_factory=list)
-    all_deleted: bool = False
+class BranchTrace(Record):
+    __slots__ = ("corners", "records", "all_deleted")
+
+    def __init__(self, corners: tuple[str, ...],
+                 records: list[StepRecord] | None = None,
+                 all_deleted: bool = False):
+        self.corners = corners
+        self.records = [] if records is None else records
+        self.all_deleted = all_deleted
 
     @property
     def legal(self) -> bool:
@@ -145,10 +151,13 @@ class BranchTrace:
         return [r for r in self.records if r.verdict == "assumed"]
 
 
-@dataclass
-class SchemeTrace:
-    branches: list[BranchTrace]
-    flags: list[str] = field(default_factory=list)
+class SchemeTrace(Record):
+    __slots__ = ("branches", "flags")
+
+    def __init__(self, branches: list[BranchTrace],
+                 flags: list[str] | None = None):
+        self.branches = branches
+        self.flags = [] if flags is None else flags
 
     @property
     def legal(self) -> bool:
@@ -310,8 +319,7 @@ def _is_vertex(x) -> bool:
     return _is_int(x) or isinstance(x, str)
 
 
-@dataclass(frozen=True)
-class _Json:
+class _Json(NamedTuple):
     """A step field's JSON type: what a valid value is, its decoder (`vid`
     maps one vertex) and encoder, and whether an empty value is left out."""
 
@@ -338,30 +346,49 @@ _PHI = _Json("a map from vertices to lists of set names",
              lambda phi: {str(v): list(names) for v, names in phi})
 
 
-def _field(jtype: _Json, default=MISSING):
-    return field(default=default, metadata={"json": jtype})
+_MISSING = object()  # the default of a field that has none
+
+
+def _table(*rows) -> tuple[tuple[str, ...], tuple]:
+    """A step kind's __slots__ and field table from its fields' rows
+    (name, JSON type[, default])."""
+    table = tuple(row if len(row) == 3 else (*row, _MISSING) for row in rows)
+    return tuple(name for name, _, _ in table), table
 
 
 # -- steps ----------------------------------------------------------------
 
-class _Kind:
+class _Kind(FrozenRecord):
     """What each step kind defines: `op`, its JSON name; `branch_point`, if
     a split (s, t, r) with s + t + r = k*m resolves it; `effect`, its
     worst-case effect on a SymbolicState, in place (False halts the
     branch); `choices`, the ConcreteStates it leads to, in search order (a
     tuple where there is at most one, so the concrete walk does not keep
-    the input state alive); and its fields, whose JSON types make the codec.
+    the input state alive); and `fields`, its table of (name, JSON type,
+    default), which makes the constructor and the codec.  A step is frozen.
     """
 
+    __slots__ = ()
     op: ClassVar[str]
     branch_point: ClassVar[bool] = False
+    fields: ClassVar[tuple[tuple[str, _Json, object], ...]]
+
+    def __init__(self, *args, **kwargs):
+        for i, (name, _, default) in enumerate(self.fields):
+            x = args[i] if i < len(args) else kwargs.pop(name, default)
+            if x is _MISSING:
+                raise TypeError(f"{self.op} step: missing {name!r}")
+            object.__setattr__(self, name, x)
+        if kwargs or len(args) > len(self.fields):
+            raise TypeError(f"{self.op} step: unexpected fields in "
+                            f"{args}, {kwargs}")
 
     def to_json(self) -> dict:
         d = {"op": self.op}
-        for f in fields(self):
-            jtype, x = f.metadata["json"], getattr(self, f.name)
+        for name, jtype, _ in self.fields:
+            x = getattr(self, name)
             if x or not jtype.omit_empty:
-                d[f.name] = jtype.encode(x)
+                d[name] = jtype.encode(x)
         return d
 
     @classmethod
@@ -373,24 +400,22 @@ class _Kind:
                 raise SchemeError(f"{cls.op} step: {x!r} is not a vertex") from None
 
         values = {}
-        for f in fields(cls):
-            jtype, x = f.metadata["json"], d.get(f.name, MISSING)
-            if x is MISSING:
-                if f.default is MISSING:
-                    raise SchemeError(f"{cls.op} step: missing {f.name!r}")
+        for name, jtype, default in cls.fields:
+            x = d.get(name, _MISSING)
+            if x is _MISSING:
+                if default is _MISSING:
+                    raise SchemeError(f"{cls.op} step: missing {name!r}")
             elif not jtype.ok(x):
-                raise SchemeError(f"{cls.op} step: {f.name!r} must be "
+                raise SchemeError(f"{cls.op} step: {name!r} must be "
                                   f"{jtype.what}, not {x!r}")
             else:
-                values[f.name] = jtype.decode(x, vid)
+                values[name] = jtype.decode(x, vid)
         return cls(**values)
 
 
-@dataclass(frozen=True)
 class Delete(_Kind):
     op = "delete"
-    u: int = _field(_VERTEX)
-    assume: str | None = _field(_NOTE, None)
+    __slots__, fields = _table(("u", _VERTEX), ("assume", _NOTE, None))
 
     def __str__(self) -> str:
         return f"<{self.u}>"
@@ -415,15 +440,12 @@ class Delete(_Kind):
         return (new,)
 
 
-@dataclass(frozen=True)
 class Save(_Kind):
     """ParCol(u | v, k): color u with k*m colors outside L(v)."""
 
     op = "save"
-    u: int = _field(_VERTEX)
-    v: int = _field(_VERTEX)
-    k: int = _field(_UNITS, 1)
-    assume: str | None = _field(_NOTE, None)
+    __slots__, fields = _table(("u", _VERTEX), ("v", _VERTEX), ("k", _UNITS, 1),
+                               ("assume", _NOTE, None))
 
     def __str__(self) -> str:
         return f"<{self.u}|{self.v},{self.k}m>"
@@ -454,19 +476,16 @@ class Save(_Kind):
                 yield new
 
 
-@dataclass(frozen=True)
 class PairSave(_Kind):
     """ParCol({u1, u2} | v, k*): S u R at u1, T u R at u2, |S|+|T|+|R| = k*m."""
 
     op = "pair_save"
     branch_point = True
-    u1: int = _field(_VERTEX)
-    u2: int = _field(_VERTEX)
-    v: int = _field(_VERTEX)
-    k: int = _field(_UNITS, 1)
-    assume: str | None = _field(_NOTE, None)
+    __slots__, fields = _table(("u1", _VERTEX), ("u2", _VERTEX), ("v", _VERTEX),
+                               ("k", _UNITS, 1), ("assume", _NOTE, None))
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.u1 == self.u2:
             raise SchemeError(f"{self}: u1 and u2 must differ")
 
@@ -511,13 +530,12 @@ class PairSave(_Kind):
                 yield new
 
 
-@dataclass(frozen=True)
 class Color(_Kind):
-    """Explicit ParCol: phi maps vertices to tuples of declared set names."""
+    """Explicit ParCol: phi, a tuple of (vertex, tuple of declared set names)
+    pairs in vertex order."""
 
     op = "color"
-    phi: tuple[tuple[int, tuple[str, ...]], ...] = _field(_PHI)
-    assume: str | None = _field(_NOTE, None)
+    __slots__, fields = _table(("phi", _PHI), ("assume", _NOTE, None))
 
     @staticmethod
     def of(phi: dict[int, tuple[str, ...] | list[str]],
@@ -551,7 +569,6 @@ class Color(_Kind):
         return () if new is None else (new,)
 
 
-@dataclass(frozen=True)
 class AssumeSet(_Kind):
     """Declare a named color set with stated size and attributes.
 
@@ -562,13 +579,10 @@ class AssumeSet(_Kind):
     """
 
     op = "assume"
-    name: str = _field(_TEXT)
-    size: int = _field(_SIZE)
-    subset_of: tuple[int, ...] = _field(_VERTICES)
-    avoids: tuple[int, ...] = _field(_VERTICES, ())
-    avoid_sets: tuple[str, ...] = _field(_TEXTS, ())
-    disjoint_from: tuple[str, ...] = _field(_TEXTS, ())
-    tag: str = _field(_TEXT, "")
+    __slots__, fields = _table(
+        ("name", _TEXT), ("size", _SIZE), ("subset_of", _VERTICES),
+        ("avoids", _VERTICES, ()), ("avoid_sets", _TEXTS, ()),
+        ("disjoint_from", _TEXTS, ()), ("tag", _TEXT, ""))
 
     def __str__(self) -> str:
         return f"<assume {self.name} size {self.size}m>"
@@ -606,7 +620,6 @@ class AssumeSet(_Kind):
             yield new
 
 
-@dataclass(frozen=True)
 class AssumeThreeSets(_Kind):
     """Declare a three-sets split (S, T, R) on the pools at a, b against c.
 
@@ -621,17 +634,11 @@ class AssumeThreeSets(_Kind):
     op = "assume_three_sets"
     branch_point = True
     _NAMES = ("s_name", "t_name", "r_name")
-    s_name: str = _field(_TEXT)
-    t_name: str = _field(_TEXT)
-    r_name: str = _field(_TEXT)
-    a: int = _field(_VERTEX)
-    b: int = _field(_VERTEX)
-    c: int = _field(_VERTEX)
-    k: int = _field(_UNITS, 1)
-    minus: tuple[str, ...] = _field(_TEXTS, ())
-    z_cap: int | None = _field(_CAP, None)
-    s_avoids_c: bool = _field(_FLAG, True)
-    tag: str = _field(_TEXT, "")
+    __slots__, fields = _table(
+        ("s_name", _TEXT), ("t_name", _TEXT), ("r_name", _TEXT),
+        ("a", _VERTEX), ("b", _VERTEX), ("c", _VERTEX), ("k", _UNITS, 1),
+        ("minus", _TEXTS, ()), ("z_cap", _CAP, None),
+        ("s_avoids_c", _FLAG, True), ("tag", _TEXT, ""))
 
     def __str__(self) -> str:
         return f"<assume three-sets {self.s_name},{self.t_name},{self.r_name}>"

@@ -2,8 +2,9 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Criterion 1 is expected red: the catalog documents one configuration
-(cycle-63-434) whose printed scheme fails its final save in the corner where
-both pair saves land on their shared parts; a concrete assignment realizing
+(cycle-63-434) whose printed scheme fails its final save in the three
+corners where the second pair save takes its shared part, (S, R), (T, R) and
+(R, R); the failing assertion names them.  A concrete assignment realizing
 the failure is checked in test_claims, and a bounded exhaustive search found
 no corner-universal replacement in the step vocabulary.
 """
@@ -41,10 +42,14 @@ def test_criterion_1_claims_suite():
     extra = f"{len(summary.reports)} claims, {dt:.1f}s"
     if not summary.passed:
         extra += f"; failing: {summary.failed_ids}"
+    failing = [
+        f"{r.claim_id}/{v.name} fails in corner branches "
+        + ", ".join(f"({', '.join(b.corners)})"
+                    for b in v.trace.branches if not b.legal)
+        for r in summary.reports for v in r.variants if not v.trace.legal]
     assert _verdict(1, "all claims verify with assumptions confined to the "
                        "three explicit-coloring claims", ok, extra), (
-        "the cycle-63-434 scheme fails its last save when both pair saves "
-        "use their shared parts; see the decisions notes and "
+        "; ".join(failing) + "; see the decisions notes and "
         "test_claims.test_cycle_63_434_symbolic_failure_is_real")
 
 

@@ -177,6 +177,20 @@ def _fresh(argv):
     return proc.returncode, proc.stdout
 
 
+def test_cold_start_imports_no_dataclasses_or_inspect():
+    """The CLI and the catalog load without `dataclasses` or `inspect`,
+    which would cost every command its start-up time.  `-S` keeps the
+    site hooks of the host out of the count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import chooselab.cli; from chooselab import claims; "
+            "claims.list_claims(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-E", "-S", "-c", code, src],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_main_reuses_its_parser(capsys):
     """main keeps one parser per process; later calls, after a usage
     error too, parse and print as fresh ones do, to the current streams."""

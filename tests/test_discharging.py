@@ -23,6 +23,7 @@ from chooselab.discharging import (_TYPE3_PATTERNS, ALL_CLASSES, CATCH_ALL,
                                    lambda_pattern, pattern, pattern_matches,
                                    r3_rate, r5_table, sweep_4face,
                                    twelfths_str)
+from chooselab.claims import claim_ids
 from chooselab.ledger_data import CASE_LEDGER, amount_of, check_entry
 from chooselab.plane import (consecutive, cube_graph, dodecahedron_graph,
                              grid_patch, rotations_from_faces)
@@ -274,6 +275,18 @@ def test_four_face_exclusion_filters():
     # a scenario violating the (4,4,4,4_{>=1})-cycle exclusion is filtered
     corners = ((4, 1), (4, 0), (4, 0), (4, 0))
     assert any(pred(corners) for _, pred in EXCLUSIONS)
+
+
+def test_exclusions_cite_catalog_claims():
+    """Each exclusion ends in one bracketed citation; every claim id in it
+    (several are joined by " + ") names a claim of the catalog."""
+    tags = set()
+    for label, _ in EXCLUSIONS:
+        head, bracket, cited = label.rpartition(" [")
+        assert head and bracket and cited.endswith("]") and "[" not in head, \
+            label
+        tags.update(cited[:-1].split(" + "))
+    assert tags <= set(claim_ids()), sorted(tags - set(claim_ids()))
 
 
 def test_weakening_exclusions_surfaces_findings():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 from typing import Callable
@@ -362,7 +361,7 @@ def test_walk_matches_per_leaf_replay_on_catalog(m):
 def test_set_vars_are_frozen():
     # sibling branches share the SetVar objects of their common prefix
     var = SetVar(1, frozenset({0}), frozenset())
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         var.size = 2
 
 
